@@ -1,9 +1,15 @@
 // Fig. 13(a) — Scheduler throughput (AssignTask calls per second) vs.
-// workflow queue length, for the three queue structures:
+// workflow queue length, for the four queue kinds:
 //
-//   DSL   — Double Skip List (the paper's contribution): O(1) head ops,
-//   BST   — two balanced trees (std::map): O(log n) head ops,
-//   Naive — recompute every lag and re-sort per call: O(n log n).
+//   DSL      — Double Skip List (the paper's contribution): O(1) head ops,
+//   BST      — two arena AVL trees (FlatTree) with a cached leftmost node:
+//              O(1) head access, O(log n) head deletion,
+//   BSTplain — the same trees paying a root-to-leftmost descent on every
+//              head access (the paper's textbook balanced BST),
+//   Naive    — recompute every lag and re-sort per call: O(n log n).
+//
+// DSL, BST and BSTplain run the same IndexedQueue code; only the ordering
+// structure differs.
 //
 // The paper shows the naive scheduler collapsing (< 2 calls/s) at 10^4
 // queued workflows while DSL sustains high throughput beyond 10^5.

@@ -1,5 +1,5 @@
-// Arena-backed AVL tree — the cache-friendly replacement for the std::map
-// orderings in BstQueue (paper Fig. 13(a), "WOHA-BST").
+// Arena-backed AVL tree — the balanced-BST ordering of the scheduler queue
+// (paper Fig. 13(a), "WOHA-BST"; see indexed_queue.hpp).
 //
 // std::map's red-black nodes are ~56-byte individual heap allocations, so a
 // root-to-leaf descent at 100k queued workflows is a chain of cold cache
@@ -9,21 +9,28 @@
 // pattern (erase + insert per AssignTask) runs allocation-free, and index
 // links survive vector growth (no pointer fixups).
 //
-// The ablation semantics BstQueue needs are preserved explicitly:
-//   * min_node()    — O(1) cached leftmost (std::map's begin(), "BST"), and
-//   * min_descend() — a root-to-leftmost walk (the textbook balanced BST of
-//                     the paper's comparison, "BSTplain").
+// The ablation's head-access cost model is the `kHead` template parameter,
+// used by front() and pop_front():
+//   * HeadAccess::kCachedMin — O(1) cached leftmost (std::map's begin(),
+//                              "BST"), and
+//   * HeadAccess::kDescend   — a root-to-leftmost walk on every head access
+//                              (the textbook balanced BST of the paper's
+//                              comparison, "BSTplain").
 // Keys are unique (the queue composes (key, workflow-id) pairs).
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace woha::core {
 
-template <class Key>
+/// How a FlatTree reaches its smallest entry (the Fig. 13(a) cost model).
+enum class HeadAccess : std::uint8_t { kCachedMin, kDescend };
+
+template <class Key, HeadAccess kHead = HeadAccess::kCachedMin>
 class FlatTree {
  public:
   static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -60,6 +67,22 @@ class FlatTree {
 
   /// Root-to-leftmost descent — the textbook-BST head-access cost model.
   [[nodiscard]] std::uint32_t min_descend() const { return leftmost(root_); }
+
+  /// Smallest key and its value, reached under the `kHead` cost model.
+  /// Throws on empty.
+  [[nodiscard]] std::pair<const Key&, std::uint32_t> front() const {
+    const std::uint32_t n = head();
+    return {nodes_[n].key, nodes_[n].value};
+  }
+
+  /// Remove and return the smallest entry: a head access under the `kHead`
+  /// cost model, then an O(log n) erase. Throws on empty.
+  std::pair<Key, std::uint32_t> pop_front() {
+    const std::uint32_t n = head();
+    std::pair<Key, std::uint32_t> out{nodes_[n].key, nodes_[n].value};
+    erase(out.first);
+    return out;
+  }
 
   [[nodiscard]] const Key& key(std::uint32_t node) const { return nodes_[node].key; }
   [[nodiscard]] std::uint32_t value(std::uint32_t node) const {
@@ -124,6 +147,15 @@ class FlatTree {
 
   // AVL height is < 1.45 * log2(n); 64 covers any 32-bit-indexed arena.
   static constexpr int kMaxHeight = 64;
+
+  [[nodiscard]] std::uint32_t head() const {
+    if (size_ == 0) throw std::logic_error("FlatTree: empty");
+    if constexpr (kHead == HeadAccess::kCachedMin) {
+      return min_node();
+    } else {
+      return min_descend();
+    }
+  }
 
   template <class Visitor>
   void walk(std::uint32_t from, Visitor& visit) const {

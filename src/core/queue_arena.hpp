@@ -1,5 +1,5 @@
-// Flat SoA arena for queued-workflow state, shared by DslQueue and
-// BstQueue.
+// Flat SoA arena for queued-workflow state, owned by IndexedQueue
+// (indexed_queue.hpp) whatever its ordering structure.
 //
 // The previous layout — unordered_map<id, unique_ptr<WfState>> with the
 // orderings holding WfState* — made every AssignTask probe a pointer chase

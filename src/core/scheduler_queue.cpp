@@ -2,8 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/queue_bst.hpp"
-#include "core/queue_dsl.hpp"
+#include "core/indexed_queue.hpp"
 #include "core/queue_naive.hpp"
 
 namespace woha::core {
@@ -35,9 +34,10 @@ const char* to_string(QueueKind kind) {
 
 std::unique_ptr<SchedulerQueue> make_queue(QueueKind kind) {
   switch (kind) {
-    case QueueKind::kDsl: return std::make_unique<DslQueue>();
-    case QueueKind::kBst: return std::make_unique<BstQueue>(/*cached_min=*/true);
-    case QueueKind::kBstPlain: return std::make_unique<BstQueue>(/*cached_min=*/false);
+    case QueueKind::kDsl: return std::make_unique<IndexedQueue<DslOrdering>>();
+    case QueueKind::kBst: return std::make_unique<IndexedQueue<BstOrdering>>();
+    case QueueKind::kBstPlain:
+      return std::make_unique<IndexedQueue<BstPlainOrdering>>();
     case QueueKind::kNaive: return std::make_unique<NaiveQueue>();
   }
   throw std::invalid_argument("make_queue: unknown kind");

@@ -119,10 +119,12 @@ class SchedulerQueue {
   static constexpr std::uint32_t kNone = 0xffffffffu;
 };
 
-/// kBst uses std::map, whose red-black tree caches the leftmost node — a
-/// stronger baseline than the paper's. kBstPlain models the textbook
-/// balanced BST the paper compared against: every head access pays a
-/// root-to-leftmost descent.
+/// kDsl, kBst and kBstPlain are IndexedQueue instantiations (one Algorithm 2
+/// over different orderings). kBst uses FlatTree, an arena AVL tree that
+/// caches its leftmost node — a stronger baseline than the paper's.
+/// kBstPlain models the textbook balanced BST the paper compared against:
+/// every head access pays a root-to-leftmost descent. kNaive recomputes
+/// and rescans on every call.
 enum class QueueKind : std::uint8_t { kDsl, kBst, kBstPlain, kNaive };
 
 [[nodiscard]] const char* to_string(QueueKind kind);

@@ -28,6 +28,7 @@
 #include <functional>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace woha::core {
@@ -153,6 +154,24 @@ class SkipList {
     }
     for (n = n->next[0]; n; n = n->next[0]) {
       if (!visit(n->key, n->value)) return;
+    }
+  }
+
+  /// Structural audit: keys strictly ascend along the level-0 chain and the
+  /// chain holds exactly size() entries. Throws std::logic_error on
+  /// corruption. O(n).
+  void validate() const {
+    std::size_t count = 0;
+    const Node* prev = nullptr;
+    for (const Node* n = head_->next[0]; n; prev = n, n = n->next[0]) {
+      if (prev != nullptr && !cmp_(prev->key, n->key)) {
+        throw std::logic_error("SkipList: keys not strictly ascending");
+      }
+      ++count;
+    }
+    if (count != size_) {
+      throw std::logic_error("SkipList: node count " + std::to_string(count) +
+                             " != size " + std::to_string(size_));
     }
   }
 

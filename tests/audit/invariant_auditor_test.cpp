@@ -6,8 +6,7 @@
 #include <variant>
 
 #include "audit/invariant_auditor.hpp"
-#include "core/queue_bst.hpp"
-#include "core/queue_dsl.hpp"
+#include "core/indexed_queue.hpp"
 #include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
 #include "metrics/report.hpp"
@@ -15,14 +14,12 @@
 
 namespace woha::core {
 
-// Defined here, befriended by DslQueue/BstQueue: bump a tracker's rho
-// without the repositioning every production mutation performs, leaving the
-// cached pri_key stale — exactly the corruption check_structure exists for.
+// Defined here, befriended by IndexedQueue: bump a tracker's rho without
+// the repositioning every production mutation performs, leaving the cached
+// pri_key stale — exactly the corruption check_structure exists for.
 struct QueueTestPeer {
-  static void desync_rho(DslQueue& queue, std::uint32_t id) {
-    queue.arena_.tracker(queue.arena_.slot_of(id)).count_scheduled();
-  }
-  static void desync_rho(BstQueue& queue, std::uint32_t id) {
+  template <class Ordering>
+  static void desync_rho(IndexedQueue<Ordering>& queue, std::uint32_t id) {
     queue.arena_.tracker(queue.arena_.slot_of(id)).count_scheduled();
   }
 };
@@ -183,11 +180,15 @@ void expect_desync_detected() {
 }
 
 TEST(QueueStructure, DslDetectsStalePriorityKey) {
-  expect_desync_detected<core::DslQueue>();
+  expect_desync_detected<core::IndexedQueue<core::DslOrdering>>();
 }
 
 TEST(QueueStructure, BstDetectsStalePriorityKey) {
-  expect_desync_detected<core::BstQueue>();
+  expect_desync_detected<core::IndexedQueue<core::BstOrdering>>();
+}
+
+TEST(QueueStructure, BstPlainDetectsStalePriorityKey) {
+  expect_desync_detected<core::IndexedQueue<core::BstPlainOrdering>>();
 }
 
 }  // namespace

@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/queue_bst.hpp"
-#include "core/queue_dsl.hpp"
 #include "core/queue_naive.hpp"
 #include "core/scheduler_queue.hpp"
 

@@ -1,5 +1,5 @@
-// Parameterized over the three SchedulerQueue implementations: all must
-// implement Algorithm 2 identically; DSL/BST/naive only differ in cost.
+// Parameterized over every QueueKind: all must implement Algorithm 2
+// identically; DSL/BST/BSTplain/naive only differ in cost.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/queue_bst.hpp"
-#include "core/queue_dsl.hpp"
 #include "core/queue_naive.hpp"
 #include "core/scheduler_queue.hpp"
 

@@ -110,7 +110,11 @@ TEST_P(SkipListProperty, MatchesStdMapUnderRandomOps) {
       }
     }
     ASSERT_EQ(list.size(), reference.size());
+    if (op % 64 == 0) {
+      ASSERT_NO_THROW(list.validate()) << "op " << op;
+    }
   }
+  ASSERT_NO_THROW(list.validate());
 
   // Final sweep: identical contents in identical order.
   auto it = reference.begin();
@@ -125,6 +129,23 @@ TEST_P(SkipListProperty, MatchesStdMapUnderRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SkipListProperty,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// A comparator the test can reverse after the fact: the list's existing
+// order then reads as descending, which validate() must reject.
+struct FlippableLess {
+  static inline bool reversed = false;
+  bool operator()(int a, int b) const { return reversed ? b < a : a < b; }
+};
+
+TEST(SkipList, ValidateRejectsOutOfOrderKeys) {
+  SkipList<int, int, FlippableLess> list;
+  EXPECT_NO_THROW(list.validate());
+  for (int k : {3, 1, 2}) list.insert(k, k);
+  EXPECT_NO_THROW(list.validate());
+  FlippableLess::reversed = true;
+  EXPECT_THROW(list.validate(), std::logic_error);
+  FlippableLess::reversed = false;
+}
 
 TEST(SkipList, ScalesToManyElements) {
   SkipList<int, int> list;

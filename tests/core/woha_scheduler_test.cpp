@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "hadoop/engine.hpp"
 #include "trace/paper_workloads.hpp"
 #include "workflow/topology.hpp"
@@ -94,8 +96,11 @@ TEST(WohaScheduler, NameReflectsPolicy) {
   EXPECT_EQ(scheduler.name(), "WOHA-MPF");
 }
 
+constexpr QueueKind kEveryQueueKind[] = {QueueKind::kDsl, QueueKind::kBst,
+                                         QueueKind::kBstPlain, QueueKind::kNaive};
+
 TEST(WohaScheduler, WorksWithEveryQueueKind) {
-  for (const QueueKind kind : {QueueKind::kDsl, QueueKind::kBst, QueueKind::kNaive}) {
+  for (const QueueKind kind : kEveryQueueKind) {
     WohaConfig wc;
     wc.queue = kind;
     hadoop::Engine engine(fig2_cluster(), std::make_unique<WohaScheduler>(wc));
@@ -108,10 +113,11 @@ TEST(WohaScheduler, WorksWithEveryQueueKind) {
 
 TEST(WohaScheduler, QueueKindsProduceIdenticalSchedules) {
   // Not just "all meet deadlines": the exact finish times must agree, since
-  // the three queues implement the same algorithm.
-  SimTime finishes[3][3];
-  int k = 0;
-  for (const QueueKind kind : {QueueKind::kDsl, QueueKind::kBst, QueueKind::kNaive}) {
+  // every queue kind implements the same algorithm.
+  constexpr std::size_t kKinds = std::size(kEveryQueueKind);
+  SimTime finishes[kKinds][3];
+  std::size_t k = 0;
+  for (const QueueKind kind : kEveryQueueKind) {
     WohaConfig wc;
     wc.queue = kind;
     hadoop::EngineConfig config;
@@ -125,9 +131,11 @@ TEST(WohaScheduler, QueueKindsProduceIdenticalSchedules) {
     }
     ++k;
   }
-  for (int w = 0; w < 3; ++w) {
-    EXPECT_EQ(finishes[0][w], finishes[1][w]);
-    EXPECT_EQ(finishes[0][w], finishes[2][w]);
+  for (std::size_t other = 1; other < kKinds; ++other) {
+    for (int w = 0; w < 3; ++w) {
+      EXPECT_EQ(finishes[0][w], finishes[other][w])
+          << to_string(kEveryQueueKind[other]) << " workflow " << w;
+    }
   }
 }
 

@@ -1,9 +1,10 @@
-// Dsl/Bst queue op-sequences vs the NaiveQueue reference.
+// Indexed queue op-sequences (DSL, BST, BSTplain) vs the NaiveQueue
+// reference.
 //
 // The input decodes to a monotone-clock op sequence — insert with a
 // byte-derived plan, credit grants (announced via note_can_use_changed),
 // assigns, removals, progress losses, ordering snapshots — applied
-// identically to a DslQueue, a BstQueue, and the naive recompute-everything
+// identically to every indexed queue kind and the naive recompute-everything
 // oracle. All Algorithm-2 implementations must pick the same workflows in
 // the same order and expose the same priority ordering (ties break by id,
 // so cross-implementation equality is well-defined). Each queue owns its
@@ -20,9 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/queue_bst.hpp"
-#include "core/queue_dsl.hpp"
-#include "core/queue_naive.hpp"
 #include "core/scheduler_queue.hpp"
 #include "fuzz_util.hpp"
 
@@ -56,34 +54,37 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   woha::fuzz::ByteReader in(data, size);
 
   std::deque<SchedulingPlan> plans;  // must outlive the trackers
-  std::array<Twin, 3> twins = {
+  // The indexed twins first; the naive oracle is always the last twin.
+  std::array<Twin, 4> twins = {
       Twin{woha::core::make_queue(QueueKind::kDsl)},
       Twin{woha::core::make_queue(QueueKind::kBst)},
+      Twin{woha::core::make_queue(QueueKind::kBstPlain)},
       Twin{woha::core::make_queue(QueueKind::kNaive)},
   };
+  constexpr std::size_t kOracle = twins.size() - 1;
   std::array<bool, kMaxWorkflows> live{};
   std::array<std::uint64_t, kMaxWorkflows> assigned{};
   SimTime now = 0;
 
   const auto compare_all = [&] {
-    const std::size_t expect = twins[2].queue->size();
-    WOHA_FUZZ_CHECK(twins[0].queue->size() == expect, "dsl size diverged");
-    WOHA_FUZZ_CHECK(twins[1].queue->size() == expect, "bst size diverged");
+    const std::size_t expect = twins[kOracle].queue->size();
     std::vector<SchedulerQueue::QueueEntry> naive_top;
-    twins[2].queue->top(expect, naive_top);
-    for (int t = 0; t < 2; ++t) {
+    twins[kOracle].queue->top(expect, naive_top);
+    for (std::size_t t = 0; t < kOracle; ++t) {
+      const std::string kind = twins[t].queue->name();
+      WOHA_FUZZ_CHECK(twins[t].queue->size() == expect, kind + " size diverged");
       std::vector<SchedulerQueue::QueueEntry> top;
       twins[t].queue->top(expect, top);
       WOHA_FUZZ_CHECK(top.size() == naive_top.size(), "top length diverged");
       for (std::size_t i = 0; i < top.size(); ++i) {
         WOHA_FUZZ_CHECK(top[i].id == naive_top[i].id,
-                        "ordering diverged at position " + std::to_string(i));
+                        kind + " ordering diverged at position " + std::to_string(i));
         WOHA_FUZZ_CHECK(top[i].lag == naive_top[i].lag,
-                        "lag diverged for workflow " + std::to_string(top[i].id));
+                        kind + " lag diverged for workflow " +
+                            std::to_string(top[i].id));
       }
+      twins[t].queue->check_structure();
     }
-    twins[0].queue->check_structure();
-    twins[1].queue->check_structure();
   };
 
   while (!in.done()) {
@@ -123,19 +124,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
       }
       case 2: {  // assign: all implementations must pick identically
         const std::size_t domain = in.u8() % kDomains;
-        std::array<std::uint32_t, 3> picks{};
+        std::array<std::uint32_t, twins.size()> picks{};
         for (std::size_t t = 0; t < twins.size(); ++t) {
           picks[t] = twins[t].queue->assign(now, twins[t].can_use(domain));
         }
-        WOHA_FUZZ_CHECK(picks[0] == picks[2], "dsl pick diverged from naive");
-        WOHA_FUZZ_CHECK(picks[1] == picks[2], "bst pick diverged from naive");
-        if (picks[2] != SchedulerQueue::kNone) {
+        const std::uint32_t pick = picks[kOracle];
+        for (std::size_t t = 0; t < kOracle; ++t) {
+          WOHA_FUZZ_CHECK(picks[t] == pick,
+                          twins[t].queue->name() + " pick diverged from naive");
+        }
+        if (pick != SchedulerQueue::kNone) {
           for (Twin& t : twins) {
-            WOHA_FUZZ_CHECK(t.credits[picks[2]][domain] > 0,
+            WOHA_FUZZ_CHECK(t.credits[pick][domain] > 0,
                             "picked workflow without credits");
-            --t.credits[picks[2]][domain];
+            --t.credits[pick][domain];
           }
-          ++assigned[picks[2]];
+          ++assigned[pick];
         }
         break;
       }
@@ -145,7 +149,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
         for (std::size_t t = 0; t < twins.size(); ++t) {
           // Mutant: the naive oracle keeps the workflow — sizes and
           // orderings must be caught diverging by the next comparison.
-          if (woha::fuzz::mutant() && t == 2) continue;
+          if (woha::fuzz::mutant() && t == kOracle) continue;
           twins[t].queue->remove(id);
         }
         live[id] = false;

@@ -154,8 +154,8 @@ TEST(NodeChurn, WholeClusterLossTerminatesTheRun) {
 TEST(WohaChurn, ProgressRegressionKeepsQueueConsistent) {
   // Killing scheduled tasks regresses rho; every queue implementation must
   // absorb the regression without corrupting its ordering invariants.
-  for (const auto kind :
-       {core::QueueKind::kDsl, core::QueueKind::kBst, core::QueueKind::kNaive}) {
+  for (const auto kind : {core::QueueKind::kDsl, core::QueueKind::kBst,
+                          core::QueueKind::kBstPlain, core::QueueKind::kNaive}) {
     auto config = small_cluster();
     config.faults.events.push_back({0, seconds(50), seconds(150)});
     config.faults.expiry_interval = seconds(60);

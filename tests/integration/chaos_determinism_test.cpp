@@ -99,6 +99,7 @@ TEST_P(ChaosDeterminism, RepeatedRunsAreIdentical) {
 INSTANTIATE_TEST_SUITE_P(Queues, ChaosDeterminism,
                          ::testing::Values(core::QueueKind::kDsl,
                                            core::QueueKind::kBst,
+                                           core::QueueKind::kBstPlain,
                                            core::QueueKind::kNaive),
                          [](const auto& info) { return to_string(info.param); });
 
