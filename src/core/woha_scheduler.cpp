@@ -225,6 +225,37 @@ std::optional<std::uint32_t> WohaScheduler::pick_job(
   return std::nullopt;
 }
 
+void WohaScheduler::publish_decision(const hadoop::SlotOffer& slot,
+                                     std::optional<hadoop::JobRef> choice,
+                                     SimTime now) {
+  // Explainability snapshot: the queue head as left by this decision (the
+  // orderings were refreshed inside the assign; the winner's rho is already
+  // bumped). Read-only — tracing can never perturb the next decision.
+  //
+  // The event object is long-lived and published borrowed: its ranking
+  // vector and scheduler-name string keep their buffers, so a traced run
+  // makes no per-decision allocations.
+  if (!std::holds_alternative<obs::SchedulerDecision>(trace_event_.payload)) {
+    trace_event_.payload.emplace<obs::SchedulerDecision>();
+    std::get<obs::SchedulerDecision>(trace_event_.payload).scheduler = name();
+  }
+  auto& d = std::get<obs::SchedulerDecision>(trace_event_.payload);
+  trace_event_.time = now;
+  d.slot = slot.type;
+  d.tracker = slot.tracker;
+  d.assigned = choice.has_value();
+  d.workflow = choice ? choice->workflow : 0;
+  d.job = choice ? choice->job : obs::SchedulerDecision::kNoJob;
+  top_scratch_.clear();
+  queue_->top(obs::kMaxRankedCandidates, top_scratch_);
+  d.ranking.clear();
+  for (const SchedulerQueue::QueueEntry& e : top_scratch_) {
+    d.ranking.push_back(obs::SchedulerDecision::Candidate{
+        e.id, obs::SchedulerDecision::kNoJob, e.lag, e.requirement, e.rho});
+  }
+  bus_->publish_borrowed(trace_event_);
+}
+
 std::optional<hadoop::JobRef> WohaScheduler::select_task(
     const hadoop::SlotOffer& slot, SimTime now) {
   std::chrono::steady_clock::time_point t0;
@@ -233,10 +264,11 @@ std::optional<hadoop::JobRef> WohaScheduler::select_task(
   // task of this type, assign() would refresh orderings and probe every
   // candidate only to return kNone. Skipping it is decision-identical (the
   // refresh is deferred to the next assign; orderings depend only on `now`)
-  // and keeps the empty-offer heartbeat storm O(1). nothing_available is
-  // false while tracing, so published decision snapshots are unchanged.
+  // and keeps the empty-offer heartbeat storm O(1). An early-out offer
+  // publishes no decision record; sched.early_out_offers counts it.
+  const bool early_out = nothing_available(slot.type);
   std::uint32_t wf = SchedulerQueue::kNone;
-  if (!nothing_available(slot.type)) {
+  if (!early_out) {
     wf = queue_->assign(
         now, [this, &slot](std::uint32_t id) { return pick_job(id, slot).has_value(); });
   }
@@ -253,49 +285,13 @@ std::optional<hadoop::JobRef> WohaScheduler::select_task(
     }
     choice = hadoop::JobRef{wf, *j};
   }
-
-  if (bus_ && bus_->active()) {
-    // Explainability snapshot: the queue head as left by this decision (the
-    // orderings were refreshed inside assign; the winner's rho is already
-    // bumped). Read-only — tracing can never perturb the next decision.
-    //
-    // The event object is long-lived and published borrowed: its ranking
-    // vector and scheduler-name string keep their buffers, so a traced run
-    // makes no per-decision allocations (the old code rebuilt both on every
-    // consult — measurable at heartbeat-storm rates).
-    if (!std::holds_alternative<obs::SchedulerDecision>(trace_event_.payload)) {
-      trace_event_.payload.emplace<obs::SchedulerDecision>();
-      std::get<obs::SchedulerDecision>(trace_event_.payload).scheduler = name();
-    }
-    auto& d = std::get<obs::SchedulerDecision>(trace_event_.payload);
-    trace_event_.time = now;
-    d.slot = slot.type;
-    d.tracker = slot.tracker;
-    d.assigned = choice.has_value();
-    d.workflow = choice ? choice->workflow : 0;
-    d.job = choice ? choice->job : obs::SchedulerDecision::kNoJob;
-    top_scratch_.clear();
-    queue_->top(obs::kMaxRankedCandidates, top_scratch_);
-    d.ranking.clear();
-    for (const SchedulerQueue::QueueEntry& e : top_scratch_) {
-      d.ranking.push_back(obs::SchedulerDecision::Candidate{
-          e.id, obs::SchedulerDecision::kNoJob, e.lag, e.requirement, e.rho});
-    }
-    bus_->publish_borrowed(trace_event_);
-  }
+  if (!early_out && bus_ && bus_->active()) publish_decision(slot, choice, now);
   return choice;
 }
 
 std::uint32_t WohaScheduler::select_tasks(
     const hadoop::SlotOffer& slot, std::uint32_t limit,
     const std::function<void(hadoop::JobRef)>& start, SimTime now) {
-  // Traced runs keep the historical one-decision-per-consult cadence (and
-  // its per-decision SchedulerDecision events) by falling back to the base
-  // sequential loop.
-  if (bus_ && bus_->active()) {
-    return WorkflowScheduler::select_tasks(slot, limit, start, now);
-  }
-
   // A per-tracker eligibility filter makes can_use depend on the offering
   // tracker, which is outside the rejection memo's (id, domain) contract —
   // drop the memo before the filtered consult, and again on the first
@@ -318,8 +314,9 @@ std::uint32_t WohaScheduler::select_tasks(
       WohaScheduler* self;
       const hadoop::SlotOffer* slot;
       const std::function<void(hadoop::JobRef)>* start;
+      SimTime now;
     };
-    ProbeContext ctx{this, &slot, &start};
+    ProbeContext ctx{this, &slot, &start, now};
     ProbeContext* const pc = &ctx;
     const std::function<bool(std::uint32_t)> can_use = [pc](std::uint32_t id) {
       return pc->self->pick_job(id, *pc->slot).has_value();
@@ -330,10 +327,23 @@ std::uint32_t WohaScheduler::select_tasks(
         throw std::logic_error(
             "WohaScheduler: queue accepted a workflow without tasks");
       }
-      (*pc->start)(hadoop::JobRef{wf, *j});
+      const hadoop::JobRef ref{wf, *j};
+      (*pc->start)(ref);
+      // One decision record per grant. The winner is committed and starting
+      // the task touched no queue state, so the snapshot matches what a
+      // sequential select_task would have published for this pick.
+      WohaScheduler& self = *pc->self;
+      if (self.bus_ && self.bus_->active()) {
+        self.publish_decision(*pc->slot, ref, pc->now);
+      }
     };
     started = queue_->assign_batch(now, static_cast<std::size_t>(slot.type),
                                    limit, can_use, on_assign);
+    // An under-filled batch ended on a walk that found nothing: one
+    // unassigned record, as the final empty select_task would publish.
+    if (started < limit && bus_ && bus_->active()) {
+      publish_decision(slot, std::nullopt, now);
+    }
   }
   if (assign_ns_) {
     // One latency sample per batch: the histogram then measures the cost of

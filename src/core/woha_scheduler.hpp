@@ -126,6 +126,11 @@ class WohaScheduler final : public hadoop::WorkflowScheduler {
   [[nodiscard]] std::optional<std::uint32_t> pick_job(
       std::uint32_t wf, const hadoop::SlotOffer& slot) const;
 
+  /// Publishes one SchedulerDecision for `slot` (nullopt = left idle) with
+  /// the queue head as it stands now. Callers check that the bus is active.
+  void publish_decision(const hadoop::SlotOffer& slot,
+                        std::optional<hadoop::JobRef> choice, SimTime now);
+
   WohaConfig config_;
   std::uint32_t cluster_slots_ = 0;
   std::unique_ptr<SchedulerQueue> queue_;

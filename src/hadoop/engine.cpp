@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.hpp"
 #include "obs/scoped_timer.hpp"
@@ -81,6 +83,7 @@ void Engine::set_metrics_registry(obs::MetricsRegistry* registry) {
   handles_.select_ns =
       &registry->histogram("engine.select_task_ns", latency_buckets());
   handles_.heartbeats = &registry->counter("engine.heartbeats");
+  handles_.memo_served_offers = &registry->counter("engine.memo_served_offers");
   handles_.tasks_started = &registry->counter("engine.tasks_started");
   handles_.tasks_finished = &registry->counter("engine.tasks_finished");
   handles_.tasks_failed = &registry->counter("engine.tasks_failed");
@@ -394,10 +397,10 @@ void Engine::heartbeat(std::size_t tracker_index) {
   // WOHA scheduler reads the tracker index before deciding it has nothing
   // to hand out, and an empty answer mutates no scheduler state). Serving
   // sibling heartbeats of the same tick from the memo skips the scheduler
-  // walk and the clock reads; a filtered offer or an active tracing bus
-  // (skipped consults would drop SchedulerDecision events) disables it.
-  const bool memo_enabled =
-      config_.heartbeat_batch > 1 && filter == nullptr && !events_.active();
+  // walk and the clock reads; only a filtered offer disables it. Traced
+  // runs take the memo too: a served offer publishes no SchedulerDecision
+  // and is counted in engine.memo_served_offers instead.
+  const bool memo_enabled = config_.heartbeat_batch > 1 && filter == nullptr;
 
   // Offer every idle slot on this tracker; maps first (Hadoop-1's
   // assignTasks fills map slots before reduce slots). All same-type slots
@@ -418,6 +421,7 @@ void Engine::heartbeat(std::size_t tracker_index) {
         // an unbatched run.
         ++memo_uses_[ti];
         ++select_calls_;
+        if (handles_.memo_served_offers) handles_.memo_served_offers->add();
       } else {
         heartbeat_slot_type_ = type;  // retargets start_sink_
         const SlotOffer offer{type, tracker_index, filter};
@@ -904,6 +908,10 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
   // estimate (the simulator knows the true remaining time); an attempt on a
   // silently-dead node reports no progress at all, which is exactly what
   // LATE flags first — so zombies are always eligible.
+  //
+  // The pick is copied out of the scan: the candidate-set node holding its
+  // id is erased below, and the backup's emplace may reallocate attempts_.
+  std::optional<std::pair<std::uint64_t, Attempt>> pick;
   for (const auto& [cand_tracker, id] :
        spec_candidates_[static_cast<std::size_t>(type)]) {
     const Attempt& a = attempts_.at(id);
@@ -923,44 +931,43 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
       }
     }
     if (blacklisted(a.ref, tracker_index)) continue;
-
-    // Launch the backup. It occupies a slot and burns budget metrics but
-    // is NOT new task progress: no job/rho accounting, no select_task.
-    cluster_.occupy(tracker_index, type);
-    ++tasks_executed_;
-    ++speculative_launched_;
-    if (handles_.tasks_started) handles_.tasks_started->add();
-    if (handles_.speculative_launched) handles_.speculative_launched->add();
-    bool will_fail = false;
-    const Duration dur = draw_attempt(a.ref, type, tracker_index, will_fail);
-    busy_ms_[static_cast<std::size_t>(type)] += static_cast<double>(dur);
-    const std::uint64_t backup_id = next_attempt_id_++;
-    if (events_.active()) {
-      events_.publish(now, obs::SpeculativeLaunched{backup_id, id,
-                                                    a.ref.workflow, a.ref.job,
-                                                    type, tracker_index});
-      events_.publish(now, obs::TaskStarted{backup_id, a.ref.workflow,
-                                            a.ref.job, type, tracker_index,
-                                            dur, true});
-    }
-    Attempt backup{a.ref,         type,      tracker_index, now, dur,
-                   a.retry_level, will_fail, true,          id,  {}};
-    backup.finish_event =
-        sim_.schedule_after(dur, [this, backup_id]() { finish_attempt(backup_id); });
-    index_attempt_add(backup_id, backup);
-    attempts_.emplace(backup_id, std::move(backup));
-    tracker_attempts_[tracker_index].push_back(backup_id);
-    WOHA_LOG(LogLevel::kDebug, "engine")
-        << "t=" << now << " speculative backup for w" << a.ref.workflow << "/j"
-        << a.ref.job << " on tracker " << tracker_index;
-    // The original now has a rival: retire it from the candidate set. We
-    // return immediately, so the invalidated loop iterator is never
-    // advanced.
-    spec_candidate_remove(id, a);
-    attempts_.at(id).rival = backup_id;
-    return true;
+    pick.emplace(id, a);
+    break;
   }
-  return false;
+  if (!pick) return false;
+  const auto& [id, a] = *pick;
+
+  // Launch the backup. It occupies a slot and burns budget metrics but is
+  // NOT new task progress: no job/rho accounting, no select_task.
+  cluster_.occupy(tracker_index, type);
+  ++tasks_executed_;
+  ++speculative_launched_;
+  if (handles_.tasks_started) handles_.tasks_started->add();
+  if (handles_.speculative_launched) handles_.speculative_launched->add();
+  bool will_fail = false;
+  const Duration dur = draw_attempt(a.ref, type, tracker_index, will_fail);
+  busy_ms_[static_cast<std::size_t>(type)] += static_cast<double>(dur);
+  const std::uint64_t backup_id = next_attempt_id_++;
+  if (events_.active()) {
+    events_.publish(now, obs::SpeculativeLaunched{backup_id, id, a.ref.workflow,
+                                                  a.ref.job, type, tracker_index});
+    events_.publish(now, obs::TaskStarted{backup_id, a.ref.workflow, a.ref.job,
+                                          type, tracker_index, dur, true});
+  }
+  Attempt backup{a.ref,         type,      tracker_index, now, dur,
+                 a.retry_level, will_fail, true,          id,  {}};
+  backup.finish_event =
+      sim_.schedule_after(dur, [this, backup_id]() { finish_attempt(backup_id); });
+  index_attempt_add(backup_id, backup);
+  attempts_.emplace(backup_id, std::move(backup));
+  tracker_attempts_[tracker_index].push_back(backup_id);
+  WOHA_LOG(LogLevel::kDebug, "engine")
+      << "t=" << now << " speculative backup for w" << a.ref.workflow << "/j"
+      << a.ref.job << " on tracker " << tracker_index;
+  // The original now has a rival: retire it from the candidate set.
+  spec_candidate_remove(id, a);
+  attempts_.at(id).rival = backup_id;
+  return true;
 }
 
 void Engine::schedule_next_mtbf_crash(std::size_t tracker_index) {

@@ -434,6 +434,7 @@ class Engine {
     obs::Histogram* heartbeat_ns = nullptr;
     obs::Histogram* select_ns = nullptr;
     obs::Counter* heartbeats = nullptr;
+    obs::Counter* memo_served_offers = nullptr;
     obs::Counter* tasks_started = nullptr;
     obs::Counter* tasks_finished = nullptr;
     obs::Counter* tasks_failed = nullptr;

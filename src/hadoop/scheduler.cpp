@@ -1,13 +1,20 @@
 #include "hadoop/scheduler.hpp"
 
 #include "hadoop/job_tracker.hpp"
-#include "obs/event_bus.hpp"
+#include "obs/metrics_registry.hpp"
 
 namespace woha::hadoop {
 
+void WorkflowScheduler::observe(obs::EventBus* bus, obs::MetricsRegistry* registry) {
+  bus_ = bus;
+  metrics_ = registry;
+  early_out_offers_ = registry ? &registry->counter("sched.early_out_offers") : nullptr;
+}
+
 bool WorkflowScheduler::nothing_available(SlotType t) const {
-  if (bus_ && bus_->active()) return false;
-  return tracker_ != nullptr && tracker_->available_jobs(t) == 0;
+  if (tracker_ == nullptr || tracker_->available_jobs(t) != 0) return false;
+  if (early_out_offers_) early_out_offers_->add();
+  return true;
 }
 
 std::uint32_t WorkflowScheduler::select_tasks(

@@ -16,6 +16,7 @@
 #include "hadoop/job.hpp"
 
 namespace woha::obs {
+class Counter;
 class EventBus;
 class MetricsRegistry;
 }  // namespace woha::obs
@@ -53,12 +54,11 @@ class WorkflowScheduler {
   /// Observability hookup. The engine installs its event bus at
   /// construction (registry may arrive later, via
   /// Engine::set_metrics_registry). Schedulers publish decision traces on
-  /// `bus` only while it is active, and record latency metrics only when
-  /// `registry` is non-null — with neither, the hooks must cost nothing.
-  virtual void observe(obs::EventBus* bus, obs::MetricsRegistry* registry) {
-    bus_ = bus;
-    metrics_ = registry;
-  }
+  /// `bus` only while it is active, and record metrics only when `registry`
+  /// is non-null — with neither, the hooks must cost nothing. Observing
+  /// never steers: a traced run takes the same consult path as an untraced
+  /// one. Overrides must call this base version.
+  virtual void observe(obs::EventBus* bus, obs::MetricsRegistry* registry);
 
   /// Reports the cluster's slot capacity before the run. WOHA clients use
   /// this for plan generation (the "consult the JobTracker about the
@@ -153,15 +153,19 @@ class WorkflowScheduler {
  protected:
   /// O(1) hot-path guard: true when no job anywhere in the cluster has an
   /// assignable task of this slot type, so a queue scan cannot possibly
-  /// return one. Disabled while decision tracing is on — the trace records
-  /// the considered ranking even for empty offers, and skipping the scan
-  /// would drop those records. Implemented in scheduler.cpp (needs the full
-  /// JobTracker definition).
+  /// return one. Active whether or not decisions are traced: an offer it
+  /// answers publishes no SchedulerDecision and is counted in
+  /// `sched.early_out_offers` instead. Implemented in scheduler.cpp (needs
+  /// the full JobTracker definition).
   [[nodiscard]] bool nothing_available(SlotType t) const;
 
   const JobTracker* tracker_ = nullptr;
   obs::EventBus* bus_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
+
+ private:
+  /// `sched.early_out_offers`; resolved by observe(), null with no registry.
+  obs::Counter* early_out_offers_ = nullptr;
 };
 
 }  // namespace woha::hadoop

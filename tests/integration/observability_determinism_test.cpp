@@ -1,16 +1,20 @@
 // The observability layer's hardest requirement: attaching the event bus,
 // the metrics registry, and every exporter must not perturb the simulation.
-// Three runs of the same workload — bus idle, bus with a subscriber +
-// registry, bus with all exporters + log bridge — must produce bit-identical
-// run summaries AND leave the engine RNG in the bit-identical state (so not
-// a single extra random draw happened anywhere).
+// Runs of the same workload — bus idle, registry only, bus with a
+// subscriber + registry, bus with all exporters + log bridge, each optionally
+// under the invariant auditor — must produce bit-identical run summaries AND
+// leave the engine RNG in the bit-identical state (so not a single extra
+// random draw happened anywhere). Observed runs take the same consult path
+// as unobserved ones, so the skipped-offer counters agree too.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <variant>
 
+#include "audit/invariant_auditor.hpp"
 #include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
 #include "obs/export_chrome.hpp"
@@ -23,13 +27,20 @@
 namespace woha {
 namespace {
 
-enum class Obs { kOff, kSubscribed, kFullExport };
+enum class Obs { kOff, kRegistryOnly, kSubscribed, kFullExport };
 
 struct RunOutput {
   hadoop::RunSummary summary;
   std::array<std::uint64_t, 5> rng_state;
+  // Skipped-offer counters and WOHA consult count (one queue_assign_ns
+  // sample per select_tasks call); 0 when no registry is attached.
+  std::uint64_t memo_served_offers = 0;
+  std::uint64_t early_out_offers = 0;
+  std::uint64_t woha_consults = 0;
 };
 
+// EngineConfig::audit is honoured the way metrics::run_experiment does: the
+// auditor subscribes last and runs a final sweep after the run.
 RunOutput run(const hadoop::EngineConfig& config,
               const std::vector<wf::WorkflowSpec>& workload, Obs mode) {
   hadoop::Engine engine(config, std::make_unique<core::WohaScheduler>());
@@ -41,8 +52,8 @@ RunOutput run(const hadoop::EngineConfig& config,
   std::unique_ptr<obs::LogBridge> bridge;
   std::uint64_t decisions_seen = 0;
 
-  if (mode != Obs::kOff) {
-    engine.set_metrics_registry(&registry);
+  if (mode != Obs::kOff) engine.set_metrics_registry(&registry);
+  if (mode == Obs::kSubscribed || mode == Obs::kFullExport) {
     engine.events().subscribe([&decisions_seen](const obs::Event& e) {
       decisions_seen += std::holds_alternative<obs::SchedulerDecision>(e.payload);
     });
@@ -52,17 +63,29 @@ RunOutput run(const hadoop::EngineConfig& config,
     jsonl = std::make_unique<obs::JsonlExporter>(engine.events(), jsonl_out);
     bridge = std::make_unique<obs::LogBridge>(engine.events());
   }
+  std::optional<audit::InvariantAuditor> auditor;
+  if (config.audit) auditor.emplace(engine);
 
   for (const auto& spec : workload) engine.submit(spec);
   engine.run();
 
-  if (mode != Obs::kOff) {
+  RunOutput out{engine.summarize(), engine.rng_state()};
+  if (mode == Obs::kSubscribed || mode == Obs::kFullExport) {
     // The instrumentation genuinely ran — otherwise this test silently
     // degrades into plain determinism.
     EXPECT_GT(decisions_seen, 0u);
-    EXPECT_GT(registry.counter("engine.heartbeats").value(), 0u);
   }
-  return RunOutput{engine.summarize(), engine.rng_state()};
+  if (mode != Obs::kOff) {
+    EXPECT_GT(registry.counter("engine.heartbeats").value(), 0u);
+    out.memo_served_offers = registry.counter("engine.memo_served_offers").value();
+    out.early_out_offers = registry.counter("sched.early_out_offers").value();
+    out.woha_consults = registry.find_histogram("woha.queue_assign_ns")->count();
+  }
+  if (auditor) {
+    auditor->full_sweep();
+    EXPECT_GT(auditor->sweeps_run(), 1u);
+  }
+  return out;
 }
 
 void expect_identical(const RunOutput& a, const RunOutput& b) {
@@ -151,6 +174,54 @@ TEST(ObservabilityDeterminism, Fig8TraceUnchangedByObservers) {
   const auto off = run(config, workload, Obs::kOff);
   const auto exported = run(config, workload, Obs::kFullExport);
   expect_identical(off, exported);
+}
+
+// A cluster wide enough for WOHA's batched consults, the same-tick memo and
+// the cluster-wide early-out to fire. An observed run must take exactly the
+// path an unobserved one takes: same decisions, and the same number of
+// memo-served and early-out offers.
+hadoop::EngineConfig wide_config() {
+  hadoop::EngineConfig config;
+  config.cluster.num_trackers = 64;
+  config.cluster.map_slots_per_tracker = 2;
+  config.cluster.reduce_slots_per_tracker = 1;
+  config.seed = 7;
+  config.duration_jitter_sigma = 0.2;
+  return config;
+}
+
+// Returns the registry-only run.
+RunOutput expect_same_consult_path(const hadoop::EngineConfig& config) {
+  const auto workload = trace::fig11_scenario();
+  const auto idle = run(config, workload, Obs::kRegistryOnly);
+  const auto subscribed = run(config, workload, Obs::kSubscribed);
+
+  EXPECT_GT(idle.memo_served_offers, 0u);
+  EXPECT_GT(idle.early_out_offers, 0u);
+  EXPECT_EQ(idle.memo_served_offers, subscribed.memo_served_offers);
+  EXPECT_EQ(idle.early_out_offers, subscribed.early_out_offers);
+  // Batched consults stay batched: a per-slot fallback would add samples.
+  EXPECT_EQ(idle.woha_consults, subscribed.woha_consults);
+  expect_identical(idle, subscribed);
+  return idle;
+}
+
+TEST(ObservabilityDeterminism, ObservedWohaRunTakesTheBatchedPath) {
+  expect_same_consult_path(wide_config());
+}
+
+// The same under the invariant auditor: its check_structure sweeps now run
+// against the batched consult path, and attaching it changes nothing.
+TEST(ObservabilityDeterminism, AuditedWohaRunTakesTheBatchedPath) {
+  auto config = wide_config();
+  config.audit = true;
+  const auto audited = expect_same_consult_path(config);
+
+  const auto unaudited = run(wide_config(), trace::fig11_scenario(), Obs::kRegistryOnly);
+  EXPECT_EQ(unaudited.memo_served_offers, audited.memo_served_offers);
+  EXPECT_EQ(unaudited.early_out_offers, audited.early_out_offers);
+  EXPECT_EQ(unaudited.woha_consults, audited.woha_consults);
+  expect_identical(unaudited, audited);
 }
 
 }  // namespace

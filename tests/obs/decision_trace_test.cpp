@@ -1,6 +1,9 @@
-// Scheduler decision explainability: every scheduler publishes a
-// SchedulerDecision per select_task call with the ranking it consulted, and
-// subscribing the trace never changes what gets scheduled.
+// Scheduler decision explainability: every scheduler publishes one
+// SchedulerDecision per granted slot, plus one unassigned record when a
+// consult walks its queue and comes up empty, each with the ranking it
+// consulted. Offers answered by the engine's same-tick memo or by the
+// cluster-wide early-out publish nothing. Subscribing the trace never
+// changes what gets scheduled.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -81,8 +84,12 @@ TEST_P(DecisionTrace, EverySchedulerExplainsItsDecisions) {
       EXPECT_EQ(d.workflow, 0u);
     }
   }
-  // The workload runs to completion, so tasks were assigned via decisions.
+  // The workload runs to completion, so tasks were assigned via decisions:
+  // exactly one record per started task (the workload runs no speculative
+  // backups, which start without a decision).
   EXPECT_GT(assigned, 0u) << entry.label;
+  EXPECT_EQ(assigned, traced.summary.tasks_executed) << entry.label;
+  EXPECT_EQ(traced.summary.speculative_launched, 0u) << entry.label;
   for (const auto& wf : traced.summary.workflows) {
     EXPECT_FALSE(wf.failed) << entry.label;
     EXPECT_GE(wf.finish_time, 0) << entry.label;
