@@ -8,6 +8,8 @@
 // so the cluster stays saturated at every size. Reported per point:
 // simulated makespan, events fired, select_task calls, mean select_task
 // latency (the paper's master-overhead claim), and wall-clock runtime.
+// Every run carries its own metrics registry; select_us/call is its
+// engine.select_task_ns sum over the row's select calls.
 //
 // Usage:
 //   bench_scale_cluster [--points 80,500,2000] [--schedulers WOHA-LPF,FIFO]
@@ -47,6 +49,7 @@
 #include "metrics/grid.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/report.hpp"
+#include "obs/metrics_registry.hpp"
 #include "trace/paper_workloads.hpp"
 #include "trace/scale_workload.hpp"
 
@@ -162,16 +165,31 @@ int main(int argc, char** argv) {
 
   metrics::GridOptions options;
   options.jobs = jobs.jobs();
+  // One registry per run, replacing any scratch registry run_grid attached:
+  // its engine.select_task_ns sum is the row's consult wall time.
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> run_registries(grid.size());
+  options.configure_point = [&run_registries](hadoop::Engine& engine, std::size_t i) {
+    run_registries[i] = std::make_unique<obs::MetricsRegistry>();
+    engine.set_metrics_registry(run_registries[i].get());
+  };
+  auto select_ns = [&run_registries](std::size_t i) {
+    const obs::Histogram* h = run_registries[i]->find_histogram("engine.select_task_ns");
+    return h != nullptr ? h->sum() : 0.0;
+  };
   const auto t0 = std::chrono::steady_clock::now();
-  // Repeat 0 carries the metrics hooks so the exported snapshot has the
-  // same histogram sample counts as a --repeat-free run; later repeats
-  // only re-measure wall clock and re-verify the deterministic columns.
+  // Repeat 0 carries the metrics hooks (grid.* instruments) and its
+  // per-run registries are folded into the snapshot, so the exported
+  // histogram sample counts match a --repeat-free run; later repeats only
+  // re-measure wall clock and re-verify the deterministic columns.
   const auto results = metrics::run_grid(grid, options, metrics_session.hooks());
   std::vector<std::vector<double>> walls(results.size());
-  std::vector<std::vector<double>> select_walls(results.size());
+  std::vector<std::vector<double>> select_walls_ns(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     walls[i].push_back(results[i].wall_seconds);
-    select_walls[i].push_back(results[i].summary.select_wall_ms);
+    select_walls_ns[i].push_back(select_ns(i));
+    if (obs::MetricsRegistry* session = metrics_session.registry()) {
+      session->merge(*run_registries[i]);
+    }
   }
   for (unsigned r = 1; r < repeat; ++r) {
     const auto rerun = metrics::run_grid(grid, options, metrics::ObsHooks{});
@@ -187,7 +205,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       walls[i].push_back(rerun[i].wall_seconds);
-      select_walls[i].push_back(b.select_wall_ms);
+      select_walls_ns[i].push_back(select_ns(i));
     }
   }
   const double elapsed =
@@ -195,11 +213,10 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     const hadoop::RunSummary& s = results[i].summary;
-    const double select_wall_ms = median(select_walls[i]);
     const double us_per_select =
         s.select_calls == 0
             ? 0.0
-            : select_wall_ms * 1000.0 / static_cast<double>(s.select_calls);
+            : median(select_walls_ns[i]) / 1000.0 / static_cast<double>(s.select_calls);
     std::printf("%-10u %-10s %12lld %12llu %12llu %14.3f %10.2f\n",
                 row_trackers[i], results[i].scheduler.c_str(),
                 static_cast<long long>(s.makespan),

@@ -23,6 +23,7 @@
 #include "common/strings.hpp"
 #include "core/woha_scheduler.hpp"
 #include "metrics/report.hpp"
+#include "obs/metrics_registry.hpp"
 #include "sched/edf_scheduler.hpp"
 #include "sched/fair_scheduler.hpp"
 #include "sched/fifo_scheduler.hpp"
@@ -148,11 +149,16 @@ int main(int argc, char** argv) {
               config.cluster.num_trackers, config.cluster.map_slots_per_tracker,
               config.cluster.reduce_slots_per_tracker, scheduler->name().c_str());
 
+  // The registry times every scheduler consult (engine.select_task_ns);
+  // attaching it never changes a decision.
+  obs::MetricsRegistry registry;
   hadoop::Engine engine(config, std::move(scheduler));
+  engine.set_metrics_registry(&registry);
   for (const auto& spec : workflows) engine.submit(spec);
   engine.run();
 
   const auto summary = engine.summarize();
+  const obs::Histogram* select_ns = registry.find_histogram("engine.select_task_ns");
   std::printf("%s\n", metrics::format_workflow_results(summary).c_str());
   std::printf("tasks: %llu attempts (%llu retried); utilization %.1f%%; "
               "master select calls: %llu (%.2f ms total)\n",
@@ -160,7 +166,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(summary.tasks_failed),
               summary.overall_utilization * 100.0,
               static_cast<unsigned long long>(summary.select_calls),
-              summary.select_wall_ms);
+              select_ns != nullptr ? select_ns->sum() / 1e6 : 0.0);
   // Exit code reflects deadline satisfaction so the tool scripts cleanly.
   return summary.deadline_miss_ratio > 0.0 ? 3 : 0;
 }

@@ -1,10 +1,10 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
-#include <map>
 #include <queue>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace woha::core {
 
@@ -76,8 +76,15 @@ SchedulingPlan generate_plan(const wf::WorkflowSpec& spec,
   std::uint64_t seq = 0;
   events.push(Event{0, seq++, EventType::kFree, resource_cap});
 
-  // Raw schedule trace: (time, tasks scheduled at that instant).
-  std::map<SimTime, std::uint64_t> schedule_counts;
+  // Raw schedule trace: (time, tasks scheduled at that instant). Events pop
+  // in time order, so `t` never decreases and appending keeps it sorted.
+  std::vector<std::pair<SimTime, std::uint64_t>> schedule_counts;
+  const auto record_wave = [&schedule_counts](SimTime when, std::uint32_t wave) {
+    if (schedule_counts.empty() || schedule_counts.back().first != when) {
+      schedule_counts.emplace_back(when, 0);
+    }
+    schedule_counts.back().second += wave;
+  };
 
   std::uint32_t free_slots = 0;
   SimTime t = 0;
@@ -103,7 +110,7 @@ SchedulingPlan generate_plan(const wf::WorkflowSpec& spec,
       SimJob& job = jobs[j];
       if (job.maps_left > 0) {
         const std::uint32_t wave = std::min(job.maps_left, free_slots);
-        schedule_counts[t] += wave;
+        record_wave(t, wave);
         free_slots -= wave;
         job.maps_left -= wave;
         const SimTime done = t + spec.jobs[j].map_duration;
@@ -126,7 +133,7 @@ SchedulingPlan generate_plan(const wf::WorkflowSpec& spec,
         }
       } else {
         const std::uint32_t wave = std::min(job.reduces_left, free_slots);
-        schedule_counts[t] += wave;
+        record_wave(t, wave);
         free_slots -= wave;
         job.reduces_left -= wave;
         const SimTime done = t + spec.jobs[j].reduce_duration;

@@ -425,20 +425,19 @@ void Engine::heartbeat(std::size_t tracker_index) {
       } else {
         heartbeat_slot_type_ = type;  // retargets start_sink_
         const SlotOffer offer{type, tracker_index, filter};
-        const auto t0 = std::chrono::steady_clock::now();
+        std::chrono::steady_clock::time_point t0;
+        if (handles_.select_ns) t0 = std::chrono::steady_clock::now();
         const std::uint32_t started =
             scheduler_->select_tasks(offer, limit, start_sink_, sim_.now());
-        const auto t1 = std::chrono::steady_clock::now();
+        if (handles_.select_ns) {
+          handles_.select_ns->observe(std::chrono::duration<double, std::nano>(
+                                          std::chrono::steady_clock::now() - t0)
+                                          .count());
+        }
         // One batched consult stands for `started` successful sequential
         // consults plus, when the batch under-filled, the final empty one —
         // the select_calls tally stays bit-identical to an unbatched run.
         select_calls_ += started + (started < limit ? 1 : 0);
-        select_wall_ms_ +=
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (handles_.select_ns) {
-          handles_.select_ns->observe(
-              std::chrono::duration<double, std::nano>(t1 - t0).count());
-        }
         assigned[ti] += started;
         if (started < limit && memo_enabled) {
           memo_tick_ = sim_.now();
@@ -1342,7 +1341,6 @@ RunSummary Engine::summarize() const {
   out.tasks_failed = tasks_failed_;
   out.events_fired = sim_.events_fired();
   out.select_calls = select_calls_;
-  out.select_wall_ms = select_wall_ms_;
   out.map_locality_ratio =
       total_maps_ ? static_cast<double>(local_maps_) / static_cast<double>(total_maps_)
                   : 1.0;

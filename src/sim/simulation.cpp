@@ -1,12 +1,25 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
 namespace woha::sim {
 
+namespace {
+
+/// std::push_heap/pop_heap comparator for a (time, seq) min-heap.
+struct LaterFirst {
+  template <typename E>
+  bool operator()(const E& a, const E& b) const {
+    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+  }
+};
+
+}  // namespace
+
 void EventHandle::cancel() {
-  if (token_) *token_ = true;
+  if (sim_ != nullptr) sim_->cancel(slot_, generation_);
 }
 
 Simulation::Simulation() : ring_(kBuckets), bits_(kWords, 0) {}
@@ -15,9 +28,7 @@ EventHandle Simulation::schedule_at(SimTime when, Callback cb) {
   if (when < now_) {
     throw std::invalid_argument("Simulation::schedule_at: time in the past");
   }
-  auto token = std::make_shared<bool>(false);
-  push(Event{when, next_seq_++, std::move(cb), token, 0});
-  return EventHandle(std::move(token));
+  return enqueue(when, 0, std::move(cb));
 }
 
 EventHandle Simulation::schedule_after(Duration delay, Callback cb) {
@@ -27,42 +38,112 @@ EventHandle Simulation::schedule_after(Duration delay, Callback cb) {
 
 EventHandle Simulation::schedule_every(SimTime first, Duration period, Callback cb) {
   if (period <= 0) throw std::invalid_argument("Simulation::schedule_every: period <= 0");
-  // A shared cancellation token covers every future firing; step() re-arms
-  // the event (moving the callback back in) after each firing.
-  auto token = std::make_shared<bool>(false);
-  if (first < now_) first = now_;
-  push(Event{first, next_seq_++, std::move(cb), token, period});
-  return EventHandle(std::move(token));
+  // One record serves every firing; step() re-links it after each one.
+  return enqueue(std::max(first, now_), period, std::move(cb));
 }
 
-void Simulation::push(Event&& ev) {
+EventHandle Simulation::enqueue(SimTime when, Duration period, Callback cb) {
+  const std::uint32_t slot = acquire();
+  Record& r = rec(slot);
+  r.cb = std::move(cb);
+  r.time = when;
+  r.seq = next_seq_++;
+  r.period = period;
+  push(slot);
+  return EventHandle(this, slot, r.generation);
+}
+
+std::uint32_t Simulation::acquire() {
+  if (free_head_ != kNil) {
+    const std::uint32_t slot = free_head_;
+    free_head_ = rec(slot).next;
+    return slot;
+  }
+  if (slots_used_ == chunks_.size() * kChunkRecords) {
+    chunks_.push_back(std::make_unique<Record[]>(kChunkRecords));
+  }
+  return slots_used_++;
+}
+
+void Simulation::release(std::uint32_t slot) {
+  Record& r = rec(slot);
+  r.cb = nullptr;
+  r.cancelled = false;
+  ++r.generation;
+  r.next = free_head_;
+  free_head_ = slot;
+}
+
+void Simulation::cancel(std::uint32_t slot, std::uint32_t generation) {
+  Record& r = rec(slot);
+  if (r.generation == generation) r.cancelled = true;
+}
+
+void Simulation::push(std::uint32_t slot) {
+  const SimTime t = rec(slot).time;
   if (size_ == 0) {
     // Empty queue: re-anchor the window at the clock so every schedulable
     // time (>= now) is representable.
     base_ = sweep_ = now_;
+  } else if (t < sweep_) {
+    // Only after step(until) stopped early: its scan (and possibly a window
+    // hop) ran ahead of the clock to an event beyond `until`.
+    rewind_window(t);
   }
   ++size_;
-  if (ev.time < base_ + kWindow) {
-    ring_push(std::move(ev));
+  if (t < base_ + kWindow) {
+    ring_push(slot);
   } else {
-    heap_push(std::move(ev));
+    heap_push(slot);
   }
 }
 
-void Simulation::ring_push(Event&& ev) {
-  const std::size_t b = bucket_of(ev.time);
-  ring_[b].items.push_back(std::move(ev));
-  bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
+void Simulation::ring_push(std::uint32_t slot) {
+  Record& r = rec(slot);
+  r.next = kNil;
+  const std::size_t b = bucket_of(r.time);
+  std::uint64_t& word = bits_[b >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+  Bucket& bucket = ring_[b];
+  if ((word & bit) == 0) {
+    word |= bit;
+    bucket.head = slot;
+  } else {
+    rec(bucket.tail).next = slot;
+  }
+  bucket.tail = slot;
   ++ring_count_;
+}
+
+void Simulation::heap_push(std::uint32_t slot) {
+  const Record& r = rec(slot);
+  overflow_.push_back(OverflowEntry{r.time, r.seq, slot});
+  std::push_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
 }
 
 void Simulation::drain_overflow() {
   // Heap pops come out in (time, seq) order, so per-tick append order stays
   // FIFO. Events already in the ring for the same tick cannot exist: the
-  // ring is empty whenever the window advances (see step()).
+  // ring is empty whenever the window moves (see step() and rewind_window()).
   while (!overflow_.empty() && overflow_.front().time < base_ + kWindow) {
-    ring_push(heap_pop());
+    std::pop_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
+    const std::uint32_t slot = overflow_.back().slot;
+    overflow_.pop_back();
+    ring_push(slot);
   }
+}
+
+void Simulation::rewind_window(SimTime t) {
+  for (std::size_t word = 0; word < kWords; ++word) {
+    for (std::uint64_t w = bits_[word]; w != 0; w &= w - 1) {
+      const std::size_t b = (word << 6) + static_cast<std::size_t>(std::countr_zero(w));
+      for (std::uint32_t s = ring_[b].head; s != kNil; s = rec(s).next) heap_push(s);
+    }
+    bits_[word] = 0;
+  }
+  ring_count_ = 0;
+  base_ = sweep_ = t;
+  drain_overflow();
 }
 
 std::size_t Simulation::find_next_bucket() {
@@ -87,49 +168,11 @@ std::size_t Simulation::find_next_bucket() {
   throw std::logic_error("Simulation: ring bitmap inconsistent");
 }
 
-void Simulation::heap_push(Event&& ev) {
-  overflow_.push_back(std::move(ev));
-  std::size_t i = overflow_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    Event& p = overflow_[parent];
-    Event& c = overflow_[i];
-    if (p.time < c.time || (p.time == c.time && p.seq < c.seq)) break;
-    std::swap(p, c);
-    i = parent;
-  }
-}
-
-Simulation::Event Simulation::heap_pop() {
-  Event out = std::move(overflow_.front());
-  if (overflow_.size() > 1) overflow_.front() = std::move(overflow_.back());
-  overflow_.pop_back();
-  const std::size_t n = overflow_.size();
-  std::size_t i = 0;
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = l + 1;
-    std::size_t smallest = i;
-    const auto less = [this](std::size_t a, std::size_t b) {
-      const Event& x = overflow_[a];
-      const Event& y = overflow_[b];
-      return x.time < y.time || (x.time == y.time && x.seq < y.seq);
-    };
-    if (l < n && less(l, smallest)) smallest = l;
-    if (r < n && less(r, smallest)) smallest = r;
-    if (smallest == i) break;
-    std::swap(overflow_[i], overflow_[smallest]);
-    i = smallest;
-  }
-  return out;
-}
-
 bool Simulation::step(SimTime until) {
   while (size_ > 0) {
     if (ring_count_ == 0) {
-      // Window exhausted: jump it to the next far-future event. The check
-      // against `until` comes first so a no-op step never moves the window
-      // (callers may still schedule near-past events afterwards).
+      // Window exhausted: hop it to the next far-future event. The check
+      // against `until` comes first so a no-op step never moves the window.
       const SimTime next = overflow_.front().time;
       if (next > until) return false;
       base_ = sweep_ = next;
@@ -138,26 +181,30 @@ bool Simulation::step(SimTime until) {
     const std::size_t b = find_next_bucket();
     if (sweep_ > until) return false;
     Bucket& bucket = ring_[b];
-    Event ev = std::move(bucket.items[bucket.head]);
-    if (++bucket.head == bucket.items.size()) {
-      bucket.items.clear();
-      bucket.head = 0;
-      bits_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
+    const std::uint32_t slot = bucket.head;
+    Record& r = rec(slot);
+    bucket.head = r.next;
+    if (bucket.head == kNil) bits_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     --ring_count_;
     --size_;
     // Skip cancelled events without advancing the clock for them.
-    if (*ev.cancelled) continue;
-    now_ = ev.time;
+    if (r.cancelled) {
+      release(slot);
+      continue;
+    }
+    now_ = r.time;
     ++fired_;
-    ev.cb();
-    if (ev.period > 0 && !*ev.cancelled) {
-      // Re-arm the periodic event under the same token. The re-push happens
-      // after the callback (matching the legacy recursive-lambda order), so
-      // events the callback scheduled for the next tick keep smaller seqs.
-      ev.time += ev.period;
-      ev.seq = next_seq_++;
-      push(std::move(ev));
+    // Runs in place: chunk addresses are stable, so `r` survives any events
+    // the callback schedules.
+    r.cb();
+    if (r.period > 0 && !r.cancelled) {
+      // Re-arm after the callback, so events it scheduled for the next
+      // firing's tick keep smaller seqs (the legacy recursive-lambda order).
+      r.time += r.period;
+      r.seq = next_seq_++;
+      push(slot);
+    } else {
+      release(slot);
     }
     return true;
   }

@@ -7,18 +7,24 @@
 // increasing sequence number — two events scheduled for the same tick fire in
 // scheduling order, never in container order.
 //
-// The queue is a bucketed calendar: a ring of kBuckets one-millisecond
-// buckets covers the window [base, base + kBuckets); each bucket is a plain
-// FIFO vector (push order == seq order, so same-tick FIFO costs nothing),
-// and a bitmap over buckets lets the scan skip empty ticks a word at a
-// time. Events beyond the window wait in a (time, seq)-ordered binary heap
-// and are drained into the ring whenever the window advances. This makes
-// the dominant near-future traffic — the per-tracker heartbeat storm, which
-// is O(trackers) events every period — O(1) per event instead of
-// O(log pending), while far-future events (task completions, submissions)
-// pay one heap pass. Recurring events (schedule_every) are re-armed in
-// place: the callback is moved back into the queue after each firing, so a
-// 10k-tracker heartbeat storm allocates nothing per tick.
+// The queue is a hashed timing wheel (Varghese & Lauck, SOSP '87) over one
+// record pool. Every pending event owns exactly one pooled Record holding
+// its callback, (time, seq), period, generation, a next-link and a
+// cancelled flag. Records live in fixed-size chunks, so their addresses are
+// stable: a callback runs in place even while it schedules more events and
+// the pool grows. Freed slots are reused LIFO, which keeps the next record
+// handed out cache-hot.
+//
+// A ring of kWindow one-millisecond buckets covers [base, base + kWindow).
+// Each bucket is just a (head, tail) pair of slot indices (8 bytes) naming
+// a FIFO list linked through the records — push order == seq order, so
+// same-tick FIFO costs nothing — and a bitmap over buckets lets the scan
+// skip empty ticks a word at a time. Events beyond the window wait in a
+// binary heap of 24-byte (time, seq, slot) entries and are drained into the
+// ring whenever the window hops forward. The dominant near-future
+// traffic — the per-tracker heartbeat storm, O(trackers) events every period
+// — is O(1) per event and allocates nothing: a recurring event
+// (schedule_every) keeps its record and is re-linked after each firing.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +37,19 @@
 
 namespace woha::sim {
 
+class Simulation;
+
 /// Handle that allows cancelling a scheduled event. Cancellation is lazy: the
-/// event stays in the queue but is skipped when popped.
+/// event stays in the queue but is skipped when popped. A handle names its
+/// event by (pool slot, generation); once the event is gone and its slot is
+/// reused, the generation no longer matches and cancel() is a no-op. A handle
+/// must not outlive the Simulation that issued it.
 class EventHandle {
  public:
   EventHandle() = default;
 
   /// True if this handle refers to an event (cancelled or not).
-  [[nodiscard]] bool valid() const { return token_ != nullptr; }
+  [[nodiscard]] bool valid() const { return sim_ != nullptr; }
   /// Prevent the event from firing. Safe to call multiple times and after
   /// the event fired (no-op then). Cancelling a periodic event stops all
   /// future firings.
@@ -46,8 +57,11 @@ class EventHandle {
 
  private:
   friend class Simulation;
-  explicit EventHandle(std::shared_ptr<bool> token) : token_(std::move(token)) {}
-  std::shared_ptr<bool> token_;  // *token_ == true -> cancelled
+  EventHandle(Simulation* sim, std::uint32_t slot, std::uint32_t generation)
+      : sim_(sim), slot_(slot), generation_(generation) {}
+  Simulation* sim_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint32_t generation_ = 0;
 };
 
 class Simulation {
@@ -74,7 +88,7 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
 
   /// Run until the queue drains or `until` is passed (events with
-  /// time > until stay queued; now() is clamped to `until` if reached).
+  /// time > until stay queued; now() stays at the last fired event).
   void run(SimTime until = kTimeInfinity);
   /// Fire exactly one event (if any); returns false when the queue is empty
   /// or the head event is beyond `until`.
@@ -85,21 +99,35 @@ class Simulation {
   /// Calendar-ring width in ms (also the bucket count: 1 ms per bucket).
   /// Exposed so tests can construct events on both sides of the window.
   static constexpr SimTime kWindow = 65536;
+  /// Records per pool chunk. Exposed so tests can grow the pool by more
+  /// than one chunk from inside a running callback.
+  static constexpr std::size_t kChunkRecords = 1024;
 
  private:
-  struct Event {
+  friend class EventHandle;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  struct Record {
+    Callback cb;
     SimTime time = 0;
     std::uint64_t seq = 0;
-    Callback cb;
-    std::shared_ptr<bool> cancelled;
-    Duration period = 0;  ///< > 0: re-armed after each firing
+    Duration period = 0;             ///< > 0: re-armed after each firing
+    std::uint32_t next = kNil;       ///< bucket FIFO link, or free-list link
+    std::uint32_t generation = 0;    ///< bumped each time the slot is freed
+    bool cancelled = false;
   };
 
-  /// One calendar tick's events in FIFO order. `head` indexes the next
-  /// event to pop; the vector is recycled (capacity kept) once drained.
+  /// One calendar tick's FIFO list; meaningful only while the tick's bit
+  /// is set (draining a bucket just clears the bit).
   struct Bucket {
-    std::vector<Event> items;
-    std::size_t head = 0;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  struct OverflowEntry {
+    SimTime time;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
 
   static constexpr std::size_t kBuckets = static_cast<std::size_t>(kWindow);
@@ -108,21 +136,35 @@ class Simulation {
   [[nodiscard]] static std::size_t bucket_of(SimTime t) {
     return static_cast<std::size_t>(t) & (kBuckets - 1);
   }
-  void push(Event&& ev);
-  void ring_push(Event&& ev);
+  [[nodiscard]] Record& rec(std::uint32_t slot) {
+    return chunks_[slot / kChunkRecords][slot % kChunkRecords];
+  }
+  EventHandle enqueue(SimTime when, Duration period, Callback cb);
+  /// Take a free slot (LIFO), growing the pool by one chunk when empty.
+  std::uint32_t acquire();
+  /// Destroy the slot's callback and return it to the free list; handles
+  /// still naming it go stale.
+  void release(std::uint32_t slot);
+  void cancel(std::uint32_t slot, std::uint32_t generation);
+  void push(std::uint32_t slot);
+  void ring_push(std::uint32_t slot);
+  void heap_push(std::uint32_t slot);
   /// Move every overflow event inside [base_, base_ + kWindow) into the
   /// ring, in (time, seq) order (preserves per-tick FIFO).
   void drain_overflow();
+  /// Re-anchor the window at `t` (<= every queued time): spill the ring to
+  /// the heap, then drain it back.
+  void rewind_window(SimTime t);
   /// First non-empty bucket at or after sweep_ (circular; caller must
   /// guarantee ring_count_ > 0). Advances sweep_ to the found tick.
   [[nodiscard]] std::size_t find_next_bucket();
-  // Binary min-heap over (time, seq); allows moving the top out.
-  void heap_push(Event&& ev);
-  Event heap_pop();
 
-  std::vector<Bucket> ring_;         // kBuckets entries, tick = time % kBuckets
+  std::vector<std::unique_ptr<Record[]>> chunks_;  // the record pool
+  std::uint32_t slots_used_ = 0;     // high-water mark of handed-out slots
+  std::uint32_t free_head_ = kNil;   // LIFO free list through Record::next
+  std::vector<Bucket> ring_;         // kBuckets, tick = time % kBuckets
   std::vector<std::uint64_t> bits_;  // kWords words: bucket non-empty bits
-  std::vector<Event> overflow_;      // events at time >= base_ + kWindow
+  std::vector<OverflowEntry> overflow_;  // min-heap: time >= base_ + kWindow
   std::size_t ring_count_ = 0;       // events currently in the ring
   std::size_t size_ = 0;             // total queued events (ring + overflow)
   SimTime base_ = 0;                 // window start (<= every queued time)

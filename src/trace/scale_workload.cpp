@@ -12,7 +12,9 @@ std::vector<wf::WorkflowSpec> scale_workload(std::uint32_t trackers,
   std::vector<wf::WorkflowSpec> out;
   for (std::uint32_t r = 0; r < replicas; ++r) {
     auto part = fig8_trace(seed + r);
-    out.reserve(out.size() + part.size());
+    // Reserve once: an exact-size reserve per replica would defeat
+    // geometric growth and move every spec built so far each time.
+    if (r == 0) out.reserve(part.size() * replicas);
     for (auto& w : part) out.push_back(std::move(w));
   }
   return out;

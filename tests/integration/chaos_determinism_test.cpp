@@ -71,7 +71,6 @@ void expect_identical(const hadoop::RunSummary& a, const hadoop::RunSummary& b) 
   EXPECT_EQ(a.tasks_failed, b.tasks_failed);
   EXPECT_EQ(a.events_fired, b.events_fired);
   EXPECT_EQ(a.select_calls, b.select_calls);
-  // select_wall_ms is wall-clock (host-dependent) and deliberately skipped.
   EXPECT_DOUBLE_EQ(a.map_locality_ratio, b.map_locality_ratio);
   EXPECT_EQ(a.tracker_crashes, b.tracker_crashes);
   EXPECT_EQ(a.attempts_killed, b.attempts_killed);

@@ -1,9 +1,9 @@
 // Deterministic digest of a scheduler-comparison run, used to pin
 // bit-identical metrics snapshots across engine refactors (the scale-out
 // work must never change a single scheduling decision on the paper's
-// workloads). Wall-clock fields (select_wall_ms and histogram sums) are
-// excluded; everything else — per-workflow outcomes, counters, event
-// totals — feeds an FNV-1a digest.
+// workloads). Wall-clock fields (histogram sums) are excluded; everything
+// else — per-workflow outcomes, counters, event totals — feeds an FNV-1a
+// digest.
 //
 // Regenerating goldens after an *intentional* behaviour change:
 //   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests \
