@@ -13,7 +13,7 @@
 //
 // Usage:
 //   bench_scale_cluster [--points 80,500,2000] [--schedulers WOHA-LPF,FIFO]
-//                       [--jobs N] [--hb-batch N] [--plan-jobs N]
+//                       [--jobs N] [--plan-jobs N]
 //                       [--repeat N] [--metrics-json out.json]
 // Defaults sweep 80/200/500/1000/2000 for every scheduler; pass
 // --points 10000 (or 100000 for the 100k-tracker CI smoke) for the
@@ -21,11 +21,10 @@
 // `--jobs N` (or WOHA_JOBS) fans the (point, scheduler) grid across N
 // threads — results are bit-identical to --jobs 1; per-run wall-clock is
 // measured inside each run so rows stay meaningful under parallelism
-// (total elapsed shrinks; per-run wall does not). `--hb-batch N` sets
-// EngineConfig::heartbeat_batch (1 disables the same-tick empty-select
-// memo); `--plan-jobs N` sets WohaConfig::plan_jobs (parallel plan
-// prewarm; 0 = hardware concurrency). Both are bit-identical knobs too —
-// they move wall clock, never schedules. `--horizon-min N` stops the
+// (total elapsed shrinks; per-run wall does not). `--plan-jobs N` sets
+// WohaConfig::plan_jobs (parallel plan prewarm; 0 = hardware
+// concurrency), a bit-identical knob too — it moves wall clock, never
+// schedules. `--horizon-min N` stops the
 // simulation after N simulated minutes (EngineConfig::horizon): the
 // 100k-tracker CI smoke uses it to sample the hot path at full scale
 // under a bounded wall budget. Unlike the other knobs it IS part of the
@@ -84,7 +83,6 @@ int main(int argc, char** argv) {
 
   std::vector<std::uint32_t> points = {80, 200, 500, 1000, 2000};
   std::vector<std::string> only_schedulers;
-  std::uint32_t hb_batch = 0;  // 0 = keep the engine default
   unsigned plan_jobs = 1;
   long long horizon_min = 0;  // 0 = run to completion
   unsigned repeat = 1;
@@ -95,12 +93,6 @@ int main(int argc, char** argv) {
       horizon_min = std::stoll(argv[++i]);
       if (horizon_min <= 0) {
         std::fprintf(stderr, "--horizon-min must be positive\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--hb-batch") == 0 && i + 1 < argc) {
-      hb_batch = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-      if (hb_batch == 0) {
-        std::fprintf(stderr, "--hb-batch must be >= 1 (1 disables batching)\n");
         return 2;
       }
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
@@ -148,7 +140,6 @@ int main(int argc, char** argv) {
     config.cluster.num_trackers = n;
     config.cluster.map_slots_per_tracker = 2;
     config.cluster.reduce_slots_per_tracker = 1;
-    if (hb_batch != 0) config.heartbeat_batch = hb_batch;
     if (horizon_min > 0) config.horizon = minutes(horizon_min);
     workloads.push_back(std::make_unique<std::vector<wf::WorkflowSpec>>(
         trace::scale_workload(n, trace::kScaleWorkloadSeed)));

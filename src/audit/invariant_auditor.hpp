@@ -5,7 +5,8 @@
 // breaks: it rides the obs event bus (so it can never perturb the run — the
 // bus is synchronous, consumes no RNG draws, and publishes after state
 // transitions complete) and cross-checks the engine's visible state against
-// an independently maintained shadow after each heartbeat batch:
+// an independently maintained shadow after each served heartbeat (a parked
+// heartbeat publishes nothing, so it is not checked; see DESIGN.md §7b):
 //
 //  * event-stream time monotonicity (the discrete-event core must hand
 //    events out in nondecreasing sim-time order),

@@ -78,7 +78,11 @@ Duration parse_duration(std::string_view raw) {
 }
 
 std::string format_duration(Duration d) {
-  if (d < 0) return "-" + format_duration(-d);
+  if (d < 0) {
+    std::string negative(1, '-');
+    negative += format_duration(-d);
+    return negative;
+  }
   char buf[64];
   if (d < 1000) {
     std::snprintf(buf, sizeof buf, "%lldms", static_cast<long long>(d));

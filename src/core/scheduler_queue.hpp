@@ -50,8 +50,7 @@ class SchedulerQueue {
   /// orderings repositioned) and must apply the slot-side effects — start
   /// the task — before the next probe, so can_use reflects them. Returns
   /// the number of assignments made; a return < k means the final probe
-  /// found no usable workflow (callers may memoize that emptiness for the
-  /// tick, exactly as for a kNone from assign()).
+  /// found no usable workflow, exactly as for a kNone from assign().
   ///
   /// `domain` names the can_use universe (in practice the slot type, 0 or
   /// 1 — must be < kProbeDomains). Implementations may memoize *rejections*

@@ -142,10 +142,15 @@ class WorkflowScheduler {
   /// pick (the engine's callback starts the task on slot.tracker, which may
   /// change what is available for the next pick). Returns the number of
   /// tasks started; a return < limit means the final consult came up empty,
-  /// which the engine may memoize for the rest of the heartbeat batch. The
-  /// default simply loops select_task — baselines inherit it unchanged;
-  /// WOHA overrides it to amortize queue-ordering maintenance and probe
-  /// rejections across the batch.
+  /// which the engine counts as one more select call. The default simply
+  /// loops select_task — baselines inherit it unchanged; WOHA overrides it
+  /// to amortize queue-ordering maintenance and probe rejections across the
+  /// batch.
+  ///
+  /// Contract heartbeat parking relies on (DESIGN.md §7b): with
+  /// JobTracker::available_jobs(slot.type) == 0 and no eligibility filter,
+  /// a consult starts nothing and changes no state a later pick depends
+  /// on, because the engine skips such consults for idle trackers.
   virtual std::uint32_t select_tasks(const SlotOffer& slot, std::uint32_t limit,
                                      const std::function<void(JobRef)>& start,
                                      SimTime now);

@@ -1,7 +1,7 @@
 // ScopedTimer: RAII wall-clock timing into an obs::Histogram.
 //
 // The profiling substrate for ROADMAP item 4: wrap a hot region (plan
-// generation, the master select loop, heartbeat batching) and the elapsed
+// generation, the master select loop, heartbeat service) and the elapsed
 // nanoseconds land in the attached histogram, whose p50/p95/p99 accessors
 // then summarize the hot path. Inert by construction when no histogram is
 // attached: the constructor takes one branch and never reads the clock, so

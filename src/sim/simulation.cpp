@@ -69,6 +69,12 @@ void Simulation::release(std::uint32_t slot) {
   Record& r = rec(slot);
   r.cb = nullptr;
   r.cancelled = false;
+  if (r.park != kNil) {
+    parks_[r.park].next_free = park_free_;
+    park_free_ = r.park;
+    r.park = kNil;
+    r.parked = false;
+  }
   ++r.generation;
   r.next = free_head_;
   free_head_ = slot;
@@ -77,6 +83,48 @@ void Simulation::release(std::uint32_t slot) {
 void Simulation::cancel(std::uint32_t slot, std::uint32_t generation) {
   Record& r = rec(slot);
   if (r.generation == generation) r.cancelled = true;
+}
+
+const Simulation::Record* Simulation::live(const EventHandle& h) const {
+  if (h.sim_ != this) return nullptr;
+  const Record& r = chunks_[h.slot_ / kChunkRecords][h.slot_ % kChunkRecords];
+  return r.generation == h.generation_ ? &r : nullptr;
+}
+
+void Simulation::park(const EventHandle& h, const std::uint64_t* epoch,
+                      const std::uint64_t* epoch2) {
+  if (live(h) == nullptr) return;
+  Record& r = rec(h.slot_);
+  if (r.period <= 0) throw std::logic_error("Simulation::park: one-shot event");
+  if (r.park == kNil) {
+    if (park_free_ != kNil) {
+      r.park = park_free_;
+      park_free_ = parks_[r.park].next_free;
+    } else {
+      r.park = static_cast<std::uint32_t>(parks_.size());
+      parks_.emplace_back();
+    }
+  }
+  if (epoch2 == nullptr) epoch2 = epoch;
+  ParkState& p = parks_[r.park];
+  p.epoch[0] = epoch;
+  p.epoch[1] = epoch2;
+  p.snapshot[0] = *epoch;
+  p.snapshot[1] = *epoch2;
+  p.skipped = 0;
+  r.parked = true;
+}
+
+std::uint64_t Simulation::skipped(const EventHandle& h) const {
+  const Record* r = live(h);
+  return r != nullptr && r->park != kNil ? parks_[r->park].skipped : 0;
+}
+
+void Simulation::rearm(std::uint32_t slot) {
+  Record& r = rec(slot);
+  r.time += r.period;
+  r.seq = next_seq_++;
+  push(slot);
 }
 
 void Simulation::push(std::uint32_t slot) {
@@ -194,15 +242,23 @@ bool Simulation::step(SimTime until) {
     }
     now_ = r.time;
     ++fired_;
+    if (r.parked) {
+      ParkState& p = parks_[r.park];
+      if (*p.epoch[0] == p.snapshot[0] && *p.epoch[1] == p.snapshot[1]) {
+        // Nothing the callback watches has moved: skip it, keep the slot.
+        ++p.skipped;
+        rearm(slot);
+        continue;
+      }
+      r.parked = false;
+    }
     // Runs in place: chunk addresses are stable, so `r` survives any events
     // the callback schedules.
     r.cb();
     if (r.period > 0 && !r.cancelled) {
       // Re-arm after the callback, so events it scheduled for the next
       // firing's tick keep smaller seqs (the legacy recursive-lambda order).
-      r.time += r.period;
-      r.seq = next_seq_++;
-      push(slot);
+      rearm(slot);
     } else {
       release(slot);
     }

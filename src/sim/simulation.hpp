@@ -25,6 +25,16 @@
 // traffic — the per-tracker heartbeat storm, O(trackers) events every period
 // — is O(1) per event and allocates nothing: a recurring event
 // (schedule_every) keeps its record and is re-linked after each firing.
+//
+// A recurring event can be *parked* on one or two watched epoch counters
+// (park()). While every watched epoch still reads its snapshot, a firing of
+// the parked event is skipped in place: the clock moves, the firing counts
+// in events_fired() and in the event's skipped() tally, and the record is
+// re-armed with the next seq exactly as after a real firing, but the
+// callback does not run. The first firing that finds an epoch moved unparks
+// the event and runs the callback as usual. Because a skipped firing keeps
+// its slot in the wheel and consumes its seq, the order of every other
+// event is the same as if the callback had run and returned at once.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +93,16 @@ class Simulation {
   /// Returns a handle that cancels all future firings.
   EventHandle schedule_every(SimTime first, Duration period, Callback cb);
 
+  /// Park the recurring event `h` until `*epoch` (or `*epoch2`, when given)
+  /// moves off its value at this call; resets the event's skipped() tally.
+  /// The epochs must outlive the park. No-op for a stale handle; throws for
+  /// a one-shot event.
+  void park(const EventHandle& h, const std::uint64_t* epoch,
+            const std::uint64_t* epoch2 = nullptr);
+  /// Firings of `h` skipped since its last park() (0 for a stale handle or
+  /// an event never parked). Stays readable after the event wakes.
+  [[nodiscard]] std::uint64_t skipped(const EventHandle& h) const;
+
   /// Number of pending events (cancelled-but-not-yet-popped included).
   [[nodiscard]] std::size_t pending_events() const { return size_; }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
@@ -90,8 +110,9 @@ class Simulation {
   /// Run until the queue drains or `until` is passed (events with
   /// time > until stay queued; now() stays at the last fired event).
   void run(SimTime until = kTimeInfinity);
-  /// Fire exactly one event (if any); returns false when the queue is empty
-  /// or the head event is beyond `until`.
+  /// Fire events until one runs its callback; returns false when the queue
+  /// is empty or the head event is beyond `until`. Parked firings on the
+  /// way are skipped (see park()) without returning.
   bool step(SimTime until = kTimeInfinity);
   /// Ask run() to return after the current event completes.
   void request_stop() { stop_requested_ = true; }
@@ -114,7 +135,18 @@ class Simulation {
     Duration period = 0;             ///< > 0: re-armed after each firing
     std::uint32_t next = kNil;       ///< bucket FIFO link, or free-list link
     std::uint32_t generation = 0;    ///< bumped each time the slot is freed
+    std::uint32_t park = kNil;       ///< parks_ index, kept until release
     bool cancelled = false;
+    bool parked = false;             ///< parks_[park] is being watched
+  };
+
+  /// Park state of one recurring event, kept out of the hot Record. A
+  /// single-epoch park watches the same counter twice.
+  struct ParkState {
+    const std::uint64_t* epoch[2] = {nullptr, nullptr};
+    std::uint64_t snapshot[2] = {0, 0};
+    std::uint64_t skipped = 0;
+    std::uint32_t next_free = kNil;
   };
 
   /// One calendar tick's FIFO list; meaningful only while the tick's bit
@@ -139,7 +171,10 @@ class Simulation {
   [[nodiscard]] Record& rec(std::uint32_t slot) {
     return chunks_[slot / kChunkRecords][slot % kChunkRecords];
   }
+  [[nodiscard]] const Record* live(const EventHandle& h) const;
   EventHandle enqueue(SimTime when, Duration period, Callback cb);
+  /// Re-link a recurring record at its next firing with a fresh seq.
+  void rearm(std::uint32_t slot);
   /// Take a free slot (LIFO), growing the pool by one chunk when empty.
   std::uint32_t acquire();
   /// Destroy the slot's callback and return it to the free list; handles
@@ -162,6 +197,8 @@ class Simulation {
   std::vector<std::unique_ptr<Record[]>> chunks_;  // the record pool
   std::uint32_t slots_used_ = 0;     // high-water mark of handed-out slots
   std::uint32_t free_head_ = kNil;   // LIFO free list through Record::next
+  std::vector<ParkState> parks_;     // side table behind Record::park
+  std::uint32_t park_free_ = kNil;   // free list through ParkState::next_free
   std::vector<Bucket> ring_;         // kBuckets, tick = time % kBuckets
   std::vector<std::uint64_t> bits_;  // kWords words: bucket non-empty bits
   std::vector<OverflowEntry> overflow_;  // min-heap: time >= base_ + kWindow

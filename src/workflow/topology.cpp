@@ -164,7 +164,10 @@ WorkflowSpec random_dag(Rng& rng, const RandomDagParams& params) {
   for (std::uint32_t layer = 0; layer < layers; ++layer) {
     for (std::uint32_t j : layer_jobs[layer]) {
       JobSpec& job = spec.jobs[j];
-      job.name = "L" + std::to_string(layer) + "-j" + std::to_string(j);
+      job.name = std::to_string(layer);
+      job.name.insert(job.name.begin(), 'L');
+      job.name += "-j";
+      job.name += std::to_string(j);
       auto jitter = [&rng](std::int64_t base) {
         return std::max<std::int64_t>(1, static_cast<std::int64_t>(
                                              static_cast<double>(base) *

@@ -45,7 +45,9 @@ TEST(TextTable, NoTrailingSpaces) {
   for (const auto& line : {t.to_string()}) {
     std::size_t pos = 0;
     while ((pos = line.find('\n', pos)) != std::string::npos) {
-      if (pos > 0) EXPECT_NE(line[pos - 1], ' ');
+      if (pos > 0) {
+        EXPECT_NE(line[pos - 1], ' ');
+      }
       ++pos;
     }
   }

@@ -186,7 +186,7 @@ TEST(FlatTree, ForEachFromResumesAtErasedKey) {
   };
 
   // Interior, minimum, and maximum victims: every erase shape.
-  for (const Key victim : {Key{8, 1}, Key{0, 1}, Key{30, 1}}) {
+  for (const Key& victim : {Key{8, 1}, Key{0, 1}, Key{30, 1}}) {
     ASSERT_TRUE(tree.erase(victim));
     ref.erase(victim);
     expect_walk_from(victim);
@@ -199,7 +199,7 @@ TEST(FlatTree, ForEachFromResumesAtErasedKey) {
     tree.insert({k, 0}, static_cast<std::uint32_t>(k));
     ref.emplace(Key{k, 0}, static_cast<std::uint32_t>(k));
   }
-  for (const Key victim : {Key{8, 1}, Key{0, 1}, Key{30, 1}}) {
+  for (const Key& victim : {Key{8, 1}, Key{0, 1}, Key{30, 1}}) {
     expect_walk_from(victim);
   }
   expect_equal(tree, ref);

@@ -79,9 +79,10 @@ TEST(JobPriority, RanksAreInversePermutation) {
 TEST(JobPriority, TieBreakByJobId) {
   // All jobs identical and independent -> order must equal job ids.
   wf::WorkflowSpec spec;
-  spec.jobs.resize(5);
   for (std::uint32_t j = 0; j < 5; ++j) {
-    spec.jobs[j].name = "j" + std::to_string(j);
+    wf::JobSpec job{.name = std::to_string(j), .prerequisites = {}};
+    job.name.insert(job.name.begin(), 'j');
+    spec.jobs.push_back(std::move(job));
   }
   for (const auto policy : {JobPriorityPolicy::kHlf, JobPriorityPolicy::kLpf,
                             JobPriorityPolicy::kMpf}) {

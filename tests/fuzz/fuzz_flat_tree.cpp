@@ -29,7 +29,12 @@ Key decode_key(woha::fuzz::ByteReader& in) {
 }
 
 std::string describe(const Key& k) {
-  return "(" + std::to_string(k.first) + "," + std::to_string(k.second) + ")";
+  std::string out(1, '(');
+  out += std::to_string(k.first);
+  out += ',';
+  out += std::to_string(k.second);
+  out += ')';
+  return out;
 }
 
 void check_minima(const woha::core::FlatTree<Key>& tree,

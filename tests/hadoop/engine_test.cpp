@@ -232,34 +232,23 @@ TEST(Engine, RejectsNonPositiveHeartbeatPeriodAtConstruction) {
   }
 }
 
-TEST(Engine, RejectsZeroHeartbeatBatch) {
-  auto bad = small_cluster();
-  bad.heartbeat_batch = 0;
-  EXPECT_THROW(Engine(bad, std::make_unique<sched::FifoScheduler>()),
-               std::invalid_argument);
-}
-
-TEST(Engine, HeartbeatBatchSizesProduceIdenticalSummaries) {
-  // The same-tick empty-select memo is a pure wall-clock optimisation:
-  // every observable summary field must match the unbatched engine.
-  auto reference = small_cluster();
-  reference.heartbeat_batch = 1;
-  Engine ref_engine(reference, std::make_unique<sched::FifoScheduler>());
-  ref_engine.submit(single_job(6, 3));
-  ref_engine.run();
-  const auto ref = ref_engine.summarize();
-  for (const std::uint32_t batch : {2u, 8u, 64u}) {
+TEST(Engine, ParkedHeartbeatsProduceIdenticalSummaries) {
+  // Heartbeat parking is a pure wall-clock optimisation: every observable
+  // summary field must match the engine that serves every heartbeat.
+  const auto run = [](bool park) {
     auto config = small_cluster();
-    config.heartbeat_batch = batch;
+    config.park_idle_heartbeats = park;
     Engine engine(config, std::make_unique<sched::FifoScheduler>());
     engine.submit(single_job(6, 3));
     engine.run();
-    const auto got = engine.summarize();
-    EXPECT_EQ(got.makespan, ref.makespan) << "batch=" << batch;
-    EXPECT_EQ(got.events_fired, ref.events_fired) << "batch=" << batch;
-    EXPECT_EQ(got.select_calls, ref.select_calls) << "batch=" << batch;
-    EXPECT_EQ(got.tasks_executed, ref.tasks_executed) << "batch=" << batch;
-  }
+    return engine.summarize();
+  };
+  const auto ref = run(false);
+  const auto got = run(true);
+  EXPECT_EQ(got.makespan, ref.makespan);
+  EXPECT_EQ(got.events_fired, ref.events_fired);
+  EXPECT_EQ(got.select_calls, ref.select_calls);
+  EXPECT_EQ(got.tasks_executed, ref.tasks_executed);
 }
 
 TEST(Engine, StaggeredSubmissionsRespectSubmitTimes) {

@@ -1,9 +1,10 @@
-// The batched-heartbeat memo and the parallel plan prewarm are wall-clock
-// optimisations only: every golden this repo pins must come out bit-identical
-// at every batch size, with the auditor on (memo bypassed — tracing sees
-// every select) and off (memo active), serially and under --jobs N, with
-// plan prewarm serial and parallel. A failure here means an optimisation
-// changed a scheduling decision — fix the optimisation, never the golden.
+// Heartbeat parking, batched consults and the parallel plan prewarm are
+// wall-clock optimisations only: every golden this repo pins must come out
+// bit-identical with parking on and off, with the auditor on and off,
+// serially and under --jobs N, with plan prewarm serial and parallel. The
+// goldens mix in events_fired and select_calls, so parked firings must be
+// accounted exactly. A failure here means an optimisation changed a
+// scheduling decision — fix the optimisation, never the golden.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,13 +22,11 @@
 namespace woha {
 namespace {
 
-constexpr std::uint32_t kBatchSizes[] = {1, 8, 64};
-
-std::uint64_t overload_digest(std::uint32_t batch, bool audit, unsigned jobs) {
+std::uint64_t overload_digest(bool park, bool audit, unsigned jobs) {
   const auto workload = testing::overload_workload();
   auto grid = testing::overload_grid(workload);
   for (auto& point : grid) {
-    point.config.heartbeat_batch = batch;
+    point.config.park_idle_heartbeats = park;
     point.config.audit = audit;
   }
   metrics::GridOptions options;
@@ -35,66 +34,63 @@ std::uint64_t overload_digest(std::uint32_t batch, bool audit, unsigned jobs) {
   return testing::digest_overload(metrics::run_grid(grid, options));
 }
 
-std::uint64_t fig11_digest(std::uint32_t batch, bool audit, unsigned plan_jobs) {
+std::uint64_t fig11_digest(bool park, bool audit, unsigned plan_jobs) {
   hadoop::EngineConfig config;
   config.audit = audit;
   config.cluster = hadoop::ClusterConfig::paper_32_slaves();
-  config.heartbeat_batch = batch;
+  config.park_idle_heartbeats = park;
   const auto results = metrics::run_comparison(
       config, trace::fig11_scenario(), metrics::paper_schedulers(plan_jobs));
   return testing::digest_comparison(results);
 }
 
-TEST(BatchDeterminism, OverloadGoldenAtEveryBatchSizeAuditOn) {
-  for (const std::uint32_t batch : kBatchSizes) {
-    EXPECT_EQ(overload_digest(batch, /*audit=*/true, /*jobs=*/1),
+TEST(BatchDeterminism, OverloadGoldenParkedAndUnparkedAuditOn) {
+  for (const bool park : {false, true}) {
+    EXPECT_EQ(overload_digest(park, /*audit=*/true, /*jobs=*/1),
               testing::kOverloadChaosGolden)
-        << "batch=" << batch;
+        << "park=" << park;
   }
 }
 
-TEST(BatchDeterminism, OverloadGoldenAtEveryBatchSizeAuditOff) {
-  // Audit off is the configuration where the memo actually serves offers
-  // (an active event bus bypasses it); the digest must not notice.
-  for (const std::uint32_t batch : kBatchSizes) {
-    EXPECT_EQ(overload_digest(batch, /*audit=*/false, /*jobs=*/1),
+TEST(BatchDeterminism, OverloadGoldenParkedAndUnparkedAuditOff) {
+  for (const bool park : {false, true}) {
+    EXPECT_EQ(overload_digest(park, /*audit=*/false, /*jobs=*/1),
               testing::kOverloadChaosGolden)
-        << "batch=" << batch;
+        << "park=" << park;
   }
 }
 
 TEST(BatchDeterminism, OverloadGoldenUnderParallelGrid) {
-  EXPECT_EQ(overload_digest(/*batch=*/64, /*audit=*/false, /*jobs=*/2),
+  EXPECT_EQ(overload_digest(/*park=*/true, /*audit=*/false, /*jobs=*/2),
             testing::kOverloadChaosGolden);
 }
 
-TEST(BatchDeterminism, Fig11GoldenAtEveryBatchSize) {
-  for (const std::uint32_t batch : kBatchSizes) {
-    EXPECT_EQ(fig11_digest(batch, /*audit=*/true, /*plan_jobs=*/1),
+TEST(BatchDeterminism, Fig11GoldenParkedAndUnparked) {
+  for (const bool park : {false, true}) {
+    EXPECT_EQ(fig11_digest(park, /*audit=*/true, /*plan_jobs=*/1),
               0x9c0440bbd4ecdad5ull)
-        << "batch=" << batch << " audit=on";
-    EXPECT_EQ(fig11_digest(batch, /*audit=*/false, /*plan_jobs=*/1),
+        << "park=" << park << " audit=on";
+    EXPECT_EQ(fig11_digest(park, /*audit=*/false, /*plan_jobs=*/1),
               0x9c0440bbd4ecdad5ull)
-        << "batch=" << batch << " audit=off";
+        << "park=" << park << " audit=off";
   }
 }
 
 TEST(BatchDeterminism, Fig11GoldenWithParallelPlanPrewarm) {
   // plan_jobs fans plan generation across a thread pool before the run;
   // installation is submission-ordered, so the digest cannot move.
-  EXPECT_EQ(fig11_digest(/*batch=*/64, /*audit=*/true, /*plan_jobs=*/4),
+  EXPECT_EQ(fig11_digest(/*park=*/true, /*audit=*/true, /*plan_jobs=*/4),
             0x9c0440bbd4ecdad5ull);
-  EXPECT_EQ(fig11_digest(/*batch=*/1, /*audit=*/false, /*plan_jobs=*/0),
+  EXPECT_EQ(fig11_digest(/*park=*/false, /*audit=*/false, /*plan_jobs=*/0),
             0x9c0440bbd4ecdad5ull);
 }
 
 TEST(BatchDeterminism, ScaleWorkload160GoldenWithBatchingAndPrewarm) {
   hadoop::EngineConfig config;
-  config.audit = false;  // exercise the memo on the bench workload itself
+  config.audit = false;
   config.cluster.num_trackers = 160;
   config.cluster.map_slots_per_tracker = 2;
   config.cluster.reduce_slots_per_tracker = 1;
-  config.heartbeat_batch = 64;
   const auto results = metrics::run_comparison(
       config, trace::scale_workload(160), metrics::paper_schedulers(4));
   EXPECT_EQ(testing::digest_comparison(results), 0x9406f11ab911f50cull);

@@ -33,7 +33,9 @@ TEST_P(FailureSweep, EverythingCompletesWithRetries) {
   const auto result = metrics::run_experiment(config, workload, entry);
   const auto& s = result.summary;
   EXPECT_EQ(s.tasks_executed - s.tasks_failed, expected) << entry.label;
-  if (failure_prob > 0.0) EXPECT_GT(s.tasks_failed, 0u);
+  if (failure_prob > 0.0) {
+    EXPECT_GT(s.tasks_failed, 0u);
+  }
   for (const auto& wf_result : s.workflows) {
     EXPECT_GE(wf_result.finish_time, 0) << entry.label << " " << wf_result.name;
   }
@@ -73,10 +75,12 @@ std::vector<FailureCase> make_cases() {
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, FailureSweep,
                          ::testing::ValuesIn(make_cases()),
                          [](const auto& info) {
-                           return "s" + std::to_string(info.param.scheduler_index) +
-                                  "_p" +
-                                  std::to_string(static_cast<int>(
-                                      info.param.failure_prob * 100));
+                           std::string name(1, 's');
+                           name += std::to_string(info.param.scheduler_index);
+                           name += "_p";
+                           name += std::to_string(
+                               static_cast<int>(info.param.failure_prob * 100));
+                           return name;
                          });
 
 }  // namespace

@@ -6,8 +6,7 @@
 // digest.
 //
 // Regenerating goldens after an *intentional* behaviour change:
-//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests \
-//       --gtest_filter='ScaleDeterminism.*'
+//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests --gtest_filter='ScaleDeterminism.*'
 // then paste the printed values into scale_determinism_test.cpp.
 #pragma once
 

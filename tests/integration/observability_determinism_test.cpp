@@ -32,9 +32,10 @@ enum class Obs { kOff, kRegistryOnly, kSubscribed, kFullExport };
 struct RunOutput {
   hadoop::RunSummary summary;
   std::array<std::uint64_t, 5> rng_state;
-  // Skipped-offer counters and WOHA consult count (one queue_assign_ns
-  // sample per select_tasks call); 0 when no registry is attached.
-  std::uint64_t memo_served_offers = 0;
+  // Skipped-heartbeat and skipped-offer counters and WOHA consult count
+  // (one queue_assign_ns sample per select_tasks call); 0 when no registry
+  // is attached.
+  std::uint64_t heartbeats_parked = 0;
   std::uint64_t early_out_offers = 0;
   std::uint64_t woha_consults = 0;
 };
@@ -77,7 +78,7 @@ RunOutput run(const hadoop::EngineConfig& config,
   }
   if (mode != Obs::kOff) {
     EXPECT_GT(registry.counter("engine.heartbeats").value(), 0u);
-    out.memo_served_offers = registry.counter("engine.memo_served_offers").value();
+    out.heartbeats_parked = registry.counter("engine.heartbeats_parked").value();
     out.early_out_offers = registry.counter("sched.early_out_offers").value();
     out.woha_consults = registry.find_histogram("woha.queue_assign_ns")->count();
   }
@@ -176,10 +177,10 @@ TEST(ObservabilityDeterminism, Fig8TraceUnchangedByObservers) {
   expect_identical(off, exported);
 }
 
-// A cluster wide enough for WOHA's batched consults, the same-tick memo and
+// A cluster wide enough for WOHA's batched consults, heartbeat parking and
 // the cluster-wide early-out to fire. An observed run must take exactly the
 // path an unobserved one takes: same decisions, and the same number of
-// memo-served and early-out offers.
+// parked heartbeats and early-out offers.
 hadoop::EngineConfig wide_config() {
   hadoop::EngineConfig config;
   config.cluster.num_trackers = 64;
@@ -196,9 +197,9 @@ RunOutput expect_same_consult_path(const hadoop::EngineConfig& config) {
   const auto idle = run(config, workload, Obs::kRegistryOnly);
   const auto subscribed = run(config, workload, Obs::kSubscribed);
 
-  EXPECT_GT(idle.memo_served_offers, 0u);
+  EXPECT_GT(idle.heartbeats_parked, 0u);
   EXPECT_GT(idle.early_out_offers, 0u);
-  EXPECT_EQ(idle.memo_served_offers, subscribed.memo_served_offers);
+  EXPECT_EQ(idle.heartbeats_parked, subscribed.heartbeats_parked);
   EXPECT_EQ(idle.early_out_offers, subscribed.early_out_offers);
   // Batched consults stay batched: a per-slot fallback would add samples.
   EXPECT_EQ(idle.woha_consults, subscribed.woha_consults);
@@ -218,7 +219,7 @@ TEST(ObservabilityDeterminism, AuditedWohaRunTakesTheBatchedPath) {
   const auto audited = expect_same_consult_path(config);
 
   const auto unaudited = run(wide_config(), trace::fig11_scenario(), Obs::kRegistryOnly);
-  EXPECT_EQ(unaudited.memo_served_offers, audited.memo_served_offers);
+  EXPECT_EQ(unaudited.heartbeats_parked, audited.heartbeats_parked);
   EXPECT_EQ(unaudited.early_out_offers, audited.early_out_offers);
   EXPECT_EQ(unaudited.woha_consults, audited.woha_consults);
   expect_identical(unaudited, audited);

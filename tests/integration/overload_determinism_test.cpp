@@ -10,8 +10,7 @@
 //    one (--jobs N must never change a scheduling decision).
 //
 // Refresh goldens only after an intentional semantic change:
-//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests \
-//       --gtest_filter='OverloadDeterminism.*'
+//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests --gtest_filter='OverloadDeterminism.*'
 #include <cstdio>
 #include <cstdlib>
 #include <string>

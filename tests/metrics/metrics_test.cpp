@@ -177,7 +177,7 @@ TEST(JobsKnob, JobsFromEnvParsesThrowsAndDefaults) {
   EXPECT_EQ(jobs_from_env(), 0u);  // hardware concurrency, resolved later
   for (const char* bad : {"-1", "2x", "garbage"}) {
     ASSERT_EQ(setenv("WOHA_JOBS", bad, 1), 0);
-    EXPECT_THROW(jobs_from_env(), std::invalid_argument) << '"' << bad << '"';
+    EXPECT_THROW((void)jobs_from_env(), std::invalid_argument) << '"' << bad << '"';
   }
   ASSERT_EQ(unsetenv("WOHA_JOBS"), 0);
 }

@@ -7,6 +7,11 @@
 // the 65,536-ms ring window, and horizon-bounded run(until) phases are
 // interleaved with outside scheduling. Every firing must be the model's
 // head event at the model's time.
+//
+// Parking is checked against a twin: a Simulation whose periodic streams
+// are parked must run the same real callbacks, at the same times and in the
+// same order, and fire as many events, as a twin that never parks and
+// instead lets each stream's callback compare the epochs and return.
 #include "sim/simulation.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +21,7 @@
 #include <map>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -333,6 +339,213 @@ TEST(EventQueueModel, ScheduleBeforeHoppedWindowKeepsTimeOrder) {
   sim.run();
   EXPECT_EQ(order, (std::vector<SimTime>{50, far - 1, far + 10,
                                          far + Simulation::kWindow + 3}));
+}
+
+// One side of the parking twin test. Both sides draw the same seeded
+// decisions, and only inside real callbacks (or between run() phases), so
+// equal real-callback logs mean equal behaviour.
+class ParkSide {
+ public:
+  ParkSide(bool parking, std::uint64_t seed) : parking_(parking), rng_(seed) {}
+
+  struct Entry {
+    SimTime time;
+    std::size_t stream;
+    std::uint64_t skipped;  ///< firings skipped since the stream's last park
+    bool operator==(const Entry&) const = default;
+  };
+
+  void run(SimTime horizon) {
+    const int streams = static_cast<int>(below(5)) + 2;
+    for (int i = 0; i < streams; ++i) add_stream();
+    SimTime until = 0;
+    while (until < horizon) {
+      // Horizon-bounded phases stop mid-park; outside bumps and parks
+      // happen between them.
+      until += static_cast<SimTime>(1 + below(90000));
+      sim_.run(until);
+      if (below(2) == 0) ++epochs_[below(kEpochs)];
+      if (below(4) == 0) park(below(streams_.size()));
+      if (below(8) == 0) cancel_stream(below(streams_.size()));
+    }
+    // Cancel every stream, parked or not; only pending one-shots fire.
+    for (Stream& st : streams_) st.handle.cancel();
+    const std::size_t real = log_.size();
+    sim_.run();
+    EXPECT_EQ(log_.size(), real);
+    EXPECT_EQ(sim_.pending_events(), 0u);
+  }
+
+  [[nodiscard]] const std::vector<Entry>& log() const { return log_; }
+  [[nodiscard]] std::uint64_t fired() const { return sim_.events_fired(); }
+  /// Stream firings whose callback did no real work.
+  [[nodiscard]] std::uint64_t skipped_total() const {
+    return sim_.events_fired() - log_.size() - one_shots_fired_;
+  }
+
+ private:
+  static constexpr std::size_t kEpochs = 3;
+
+  struct Stream {
+    EventHandle handle;
+    Duration period = 0;
+    // Twin-side park state (unused when parking_).
+    bool parked = false;
+    std::size_t watch[2] = {0, 0};
+    std::uint64_t snapshot[2] = {0, 0};
+    std::uint64_t skipped = 0;
+  };
+
+  std::uint64_t below(std::uint64_t n) { return rng_() % n; }
+
+  void add_stream() {
+    const std::size_t id = streams_.size();
+    Stream st;
+    // Periods on both sides of the ring window: long ones park across
+    // window hops and overflow drains. Times on a 100-ms grid make streams
+    // share ticks, so same-tick order decides what a firing sees.
+    st.period = 100 * static_cast<Duration>(below(3) == 0 ? 656 + below(400) : 1 + below(300));
+    st.handle = sim_.schedule_every(sim_.now() + 100 * static_cast<SimTime>(below(50)),
+                                    st.period, [this, id] { fire(id); });
+    streams_.push_back(st);
+  }
+
+  void park(std::size_t id) {
+    Stream& st = streams_[id];
+    const std::size_t a = below(kEpochs);
+    const bool two = below(2) == 0;
+    const std::size_t b = two ? below(kEpochs) : a;
+    if (parking_) {
+      // May name a cancelled stream whose record is gone (stale handle).
+      sim_.park(st.handle, &epochs_[a], two ? &epochs_[b] : nullptr);
+      return;
+    }
+    st.parked = true;
+    st.watch[0] = a;
+    st.watch[1] = b;
+    st.snapshot[0] = epochs_[a];
+    st.snapshot[1] = epochs_[b];
+    st.skipped = 0;
+  }
+
+  void cancel_stream(std::size_t id) { streams_[id].handle.cancel(); }
+
+  void bump_later(SimTime when) {
+    const std::size_t e = below(kEpochs);
+    sim_.schedule_at(when, [this, e] {
+      ++one_shots_fired_;
+      ++epochs_[e];
+      if (below(3) == 0) park(below(streams_.size()));
+    });
+  }
+
+  void fire(std::size_t id) {
+    Stream& st = streams_[id];
+    if (!parking_ && st.parked) {
+      if (epochs_[st.watch[0]] == st.snapshot[0] &&
+          epochs_[st.watch[1]] == st.snapshot[1]) {
+        ++st.skipped;  // the twin's in-callback no-op
+        return;
+      }
+      st.parked = false;
+    }
+    const std::uint64_t skipped = parking_ ? sim_.skipped(st.handle) : st.skipped;
+    log_.push_back(Entry{sim_.now(), id, skipped});
+
+    // Same-tick bumps: now (later firings this tick see it), scheduled for
+    // this tick (after the firings already queued), and scheduled on some
+    // stream's next tick (before its re-armed firing when that stream is
+    // this one, after it otherwise).
+    if (below(4) == 0) ++epochs_[below(kEpochs)];
+    if (below(4) == 0) bump_later(sim_.now());
+    if (below(3) == 0) {
+      const Stream& other = streams_[below(streams_.size())];
+      bump_later(sim_.now() + other.period);
+    }
+    if (below(3) == 0) bump_later(sim_.now() + 100 * static_cast<SimTime>(below(30)));
+    if (below(2) == 0) park(id);
+    if (below(10) == 0) park(below(streams_.size()));
+    if (below(40) == 0) cancel_stream(below(streams_.size()));
+    if (streams_.size() < 12 && below(60) == 0) add_stream();
+  }
+
+  bool parking_;
+  std::mt19937_64 rng_;
+  Simulation sim_;
+  std::uint64_t epochs_[kEpochs] = {0, 0, 0};
+  std::vector<Stream> streams_;
+  std::vector<Entry> log_;
+  std::uint64_t one_shots_fired_ = 0;
+};
+
+TEST(EventQueueModel, ParkedStreamsMatchCheckingTwinOverSeeds) {
+  std::uint64_t skipped = 0;
+  std::uint64_t real = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    ParkSide parked(/*parking=*/true, seed);
+    ParkSide twin(/*parking=*/false, seed);
+    parked.run(1500000);
+    twin.run(1500000);
+    ASSERT_EQ(parked.fired(), twin.fired()) << "seed " << seed;
+    ASSERT_EQ(parked.log().size(), twin.log().size()) << "seed " << seed;
+    for (std::size_t i = 0; i < parked.log().size(); ++i) {
+      const auto& a = parked.log()[i];
+      const auto& b = twin.log()[i];
+      ASSERT_EQ(a, b) << "seed " << seed << " callback " << i << ": parked (t=" << a.time
+                      << ", stream " << a.stream << ", skipped " << a.skipped
+                      << ") vs twin (t=" << b.time << ", stream " << b.stream
+                      << ", skipped " << b.skipped << ")";
+    }
+    skipped += parked.skipped_total();
+    real += parked.log().size();
+  }
+  // The sweep really parks: a good share of firings is skipped.
+  EXPECT_GT(skipped, 10000u);
+  EXPECT_GT(real, 10000u);
+}
+
+TEST(EventQueueModel, ParkSkipsUntilAnEpochMoves) {
+  Simulation sim;
+  std::uint64_t epoch = 0;
+  std::vector<SimTime> real;
+  EventHandle h = sim.schedule_every(0, 10, [&] { real.push_back(sim.now()); });
+  sim.run(0);
+  sim.park(h, &epoch);
+  sim.schedule_at(35, [&] { ++epoch; });  // after the t=30 firing, before t=40
+  sim.run(25);
+  EXPECT_EQ(sim.now(), 20);  // skipped firings still move the clock
+  EXPECT_EQ(sim.skipped(h), 2u);
+  sim.run(50);
+  EXPECT_EQ(real, (std::vector<SimTime>{0, 40, 50}));
+  EXPECT_EQ(sim.skipped(h), 3u);  // t = 10, 20, 30; readable after waking
+  EXPECT_EQ(sim.events_fired(), 7u);
+  h.cancel();
+  sim.run();
+  EXPECT_EQ(sim.skipped(h), 0u);  // stale handle
+}
+
+TEST(EventQueueModel, ParkedEventCancelsAndStaleParkIsANoop) {
+  Simulation sim;
+  std::uint64_t epoch = 0;
+  int fired = 0;
+  EventHandle one_shot = sim.schedule_at(5, [] {});
+  EXPECT_THROW(sim.park(one_shot, &epoch), std::logic_error);
+  sim.run();
+  // The one-shot's slot is reused by this stream; the stale handle must not
+  // park it.
+  EventHandle stream = sim.schedule_every(10, 10, [&] { ++fired; });
+  sim.park(one_shot, &epoch);
+  sim.run(30);
+  EXPECT_EQ(fired, 3);
+  sim.park(stream, &epoch);
+  sim.run(60);
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.skipped(stream), 3u);
+  stream.cancel();
+  sim.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_fired(), 7u);  // the one-shot + 3 real + 3 skipped
 }
 
 }  // namespace

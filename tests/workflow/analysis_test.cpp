@@ -120,11 +120,8 @@ TEST(Analysis, MaxParallelTasksIsUpperBound) {
 
 TEST(Analysis, CyclicGraphThrows) {
   WorkflowSpec spec;
-  spec.jobs.resize(2);
-  spec.jobs[0].name = "a";
-  spec.jobs[0].prerequisites = {1};
-  spec.jobs[1].name = "b";
-  spec.jobs[1].prerequisites = {0};
+  spec.jobs = {JobSpec{.name = "a", .prerequisites = {1}},
+               JobSpec{.name = "b", .prerequisites = {0}}};
   EXPECT_THROW((void)job_levels(spec), std::invalid_argument);
   EXPECT_THROW((void)downstream_path_length(spec), std::invalid_argument);
 }

@@ -13,10 +13,8 @@ namespace {
 WorkflowSpec two_job_chain() {
   WorkflowSpec spec;
   spec.name = "chain";
-  spec.jobs.resize(2);
-  spec.jobs[0].name = "a";
-  spec.jobs[1].name = "b";
-  spec.jobs[1].prerequisites = {0};
+  spec.jobs = {JobSpec{.name = "a", .prerequisites = {}},
+               JobSpec{.name = "b", .prerequisites = {0}}};
   return spec;
 }
 
